@@ -5,13 +5,6 @@
 
 namespace knit {
 
-Result<RouterProgram> RouterProgram::FromClack(const std::string& top_unit,
-                                               const KnitcOptions& options, Diagnostics& diags,
-                                               const CostModel& cost) {
-  KnitPipeline pipeline(options);
-  return FromClack(pipeline, top_unit, diags, cost);
-}
-
 std::map<std::string, std::string> RouterProgram::ClackEntryNames(
     const KnitBuildResult& build) {
   std::map<std::string, std::string> names;

@@ -41,12 +41,6 @@ class RouterProgram {
                                          Diagnostics& diags,
                                          const CostModel& cost = CostModel());
 
-  // Legacy convenience: constructs a throwaway pipeline over `options` and
-  // forwards to the pipeline-taking factory above.
-  static Result<RouterProgram> FromClack(const std::string& top_unit,
-                                         const KnitcOptions& options, Diagnostics& diags,
-                                         const CostModel& cost = CostModel());
-
   // Like FromClack, but over caller-provided knit text and sources — the entry
   // point for configurations derived from the corpus, e.g. RewriteAllocProvider
   // output (`knitc run --alloc=NAME`) or bench-generated variants.

@@ -11,7 +11,9 @@ namespace knit {
 
 namespace {
 
-constexpr char kMagic[8] = {'K', 'O', 'B', 'J', '0', '0', '0', '1'};
+// 0002: functions no longer carry a text offset (objects are never placed; the
+// linker assigns placement), so 0001 entries read as misses.
+constexpr char kMagic[8] = {'K', 'O', 'B', 'J', '0', '0', '0', '2'};
 
 void PutU32(std::string& out, uint32_t value) {
   for (int i = 0; i < 4; ++i) {
@@ -100,7 +102,6 @@ std::string SerializeObjectFile(const ObjectFile& object) {
     PutI32(out, function.param_count);
     PutU32(out, function.variadic ? 1 : 0);
     PutU32(out, function.returns_value ? 1 : 0);
-    PutI32(out, function.text_offset);
     PutU32(out, static_cast<uint32_t>(function.code.size()));
     for (const Insn& insn : function.code) {
       PutU32(out, static_cast<uint32_t>(insn.op));
@@ -152,7 +153,6 @@ bool DeserializeObjectFile(const std::string& bytes, ObjectFile* out) {
     function.param_count = reader.I32();
     function.variadic = reader.U32() != 0;
     function.returns_value = reader.U32() != 0;
-    function.text_offset = reader.I32();
     uint32_t insn_count = reader.U32();
     for (uint32_t k = 0; reader.ok() && k < insn_count; ++k) {
       Insn insn;

@@ -100,11 +100,8 @@ void HashFileClosure(const SourceMap& sources, const std::string& file,
 }
 
 void HashCodegenOptions(const CodegenOptions& options, Fnv64& hasher) {
-  hasher.Update(options.optimize);
   hasher.Update(options.opt_level);
   hasher.Update(options.inline_limit);
-  hasher.Update(options.inline_single_call);
-  hasher.Update(options.single_call_limit);
   hasher.Update(options.caller_growth);
   hasher.Update(options.profile_digest);
 }
@@ -738,10 +735,6 @@ class CompileStage {
     if (options_.profile != nullptr) {
       options.profile_digest = ProfileDigest(*options_.profile);
     }
-    if (!options_.optimize || options_.opt_level == 0) {
-      options.optimize = false;
-      options.opt_level = 0;
-    }
     return options;
   }
 
@@ -755,9 +748,8 @@ class CompileStage {
     }
     CodegenOptions options = BaseCodegenOptions();
     options.ApplyFlags(flags);
-    if (!options_.optimize || options_.opt_level == 0) {
-      options.optimize = false;
-      options.opt_level = 0;
+    if (options_.opt_level == 0) {
+      options.opt_level = 0;  // a build-wide -O0 overrides unit flags
     }
     return options;
   }
@@ -830,7 +822,7 @@ class CompileStage {
 
   uint64_t UnitCacheKey(const UnitDecl& unit) const {
     Fnv64 hasher;
-    hasher.Update("unit-object-v5");  // v5: implicit malloc/free lowering
+    hasher.Update("unit-object-v6");  // v6: single-call inlining no longer an option
     HashUnitInterface(elaboration_, unit, hasher);
     std::set<std::string> visited;
     for (const std::string& file : unit.files) {
@@ -843,7 +835,7 @@ class CompileStage {
   uint64_t GroupCacheKey(int group, const std::vector<int>& members,
                          const std::vector<InstanceNames>& names) const {
     Fnv64 hasher;
-    hasher.Update("flatten-group-v6");  // v6: seeded malloc/free import prototypes
+    hasher.Update("flatten-group-v7");  // v7: single-call inlining no longer an option
     hasher.Update("flatten" + std::to_string(group) + ".o");
     hasher.Update(options_.sort_definitions);
     hasher.Update(options_.callers_first_definitions);
@@ -1252,7 +1244,7 @@ class CompileStage {
       return false;
     }
     CodegenOptions codegen_options;
-    codegen_options.optimize = false;  // nothing to optimize; keep call order obvious
+    codegen_options.opt_level = 0;  // nothing to optimize; keep call order obvious
     Result<ObjectFile> object = CompileTranslationUnit(tu.value(), info.value(), types,
                                                        codegen_options, "knit-init.o", diags);
     if (!object.ok()) {
@@ -1364,11 +1356,10 @@ Result<OptimizedImage> KnitPipeline::LinkOptimize(const LinkedImage& linked, Dia
 
   OptimizedImage optimized;
   optimized.linked = linked;
-  if (options_.optimize && options_.opt_level >= 2) {
+  if (options_.opt_level >= 2) {
     ImagePassOptions image_options;
     image_options.inline_limit = options_.inline_limit;
     image_options.caller_growth = options_.caller_growth;
-    image_options.text_align = LinkOptions().text_align;  // match the link layout
     image_options.entry_points.push_back(linked.compiled.init_function);
     image_options.entry_points.push_back(linked.compiled.fini_function);
     if (!linked.compiled.rollback_function.empty()) {

@@ -25,9 +25,8 @@
 //     for flatten groups — member paths, rename maps, and flatten options. Warm
 //     rebuilds skip unchanged units entirely.
 //
-// Every stage records StageMetrics (wall time, items, cache hits/misses, threads),
-// replacing the old ad-hoc BuildStats; PipelineMetrics::ToJson() feeds
-// `knitc --stats-json`.
+// Every stage records StageMetrics (wall time, items, cache hits/misses, threads);
+// PipelineMetrics::ToJson() feeds `knitc --stats-json`.
 #ifndef SRC_DRIVER_PIPELINE_H_
 #define SRC_DRIVER_PIPELINE_H_
 
@@ -58,13 +57,11 @@ namespace knit {
 // ---- options -----------------------------------------------------------------
 
 struct KnitcOptions {
-  bool optimize = true;            // per-TU optimizer (inline + LVN)
-
-  // Optimization level (knitc -O0/-O1/-O2): 0 disables all optimization (same
-  // as optimize=false), 1 runs the per-TU passes (the default — per-file gcc,
-  // as the paper's modular builds had), 2 additionally runs the whole-image
-  // link-time passes (cross-unit inlining, global DCE, devirtualization) in the
-  // LinkOptimize stage. Every level produces bit-identical program outputs;
+  // Optimization level (knitc -O0/-O1/-O2): 0 disables all optimization, 1 runs
+  // the per-TU passes (the default — per-file gcc, as the paper's modular
+  // builds had), 2 additionally runs the whole-image link-time passes
+  // (cross-unit inlining, global DCE, devirtualization) in the LinkOptimize
+  // stage. Every level produces bit-identical program outputs;
   // levels differ only in speed and text size.
   int opt_level = 1;
 

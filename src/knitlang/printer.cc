@@ -18,7 +18,7 @@ std::string PrintDepSet(const std::vector<std::string>& atoms) {
   if (atoms.size() == 1) {
     return atoms[0];
   }
-  return "(" + Join(atoms, " + ") + ")";
+  return std::string("(").append(Join(atoms, " + ")).append(")");
 }
 
 std::string PrintPropertyExpr(const PropertyExpr& expr) {
@@ -127,7 +127,7 @@ std::string PrintKnitProgram(const KnitProgram& program) {
     }
   }
   for (const UnitDecl& unit : program.units) {
-    out += "\n" + PrintUnitDecl(unit);
+    out.append("\n").append(PrintUnitDecl(unit));
   }
   return out;
 }

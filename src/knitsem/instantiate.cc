@@ -172,7 +172,7 @@ class Instantiator {
       int count = name_counters[base]++;
       std::string child_path = path + "/" + base;
       if (count > 0) {
-        child_path += "#" + std::to_string(count + 1);
+        child_path.append("#").append(std::to_string(count + 1));
       }
       std::vector<int> child_exports;
       if (!InstantiateUnit(*child, child_imports, child_path, flatten_group, child_exports)) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <set>
 
 namespace knit {
@@ -121,7 +122,6 @@ class Linker {
     image.data_base = options_.data_base;
     image.natives = options_.natives;
 
-    int text_cursor = 0;
     for (const ObjectFile* object : included_) {
       PlacedObject placement;
       placement.name = object->name;
@@ -136,17 +136,14 @@ class Linker {
       // Functions, in object order.
       placement.first_function = static_cast<int>(image.functions.size());
       placement.function_count = static_cast<int>(object->functions.size());
-      for (const BytecodeFunction& function : object->functions) {
-        BytecodeFunction placed = function;
-        placed.text_offset = text_cursor;
-        text_cursor += RoundUp(placed.TextBytes(), options_.text_align);
-        function_base_[object] = placement.first_function;
-        image.functions.push_back(std::move(placed));
-      }
+      image.functions.insert(image.functions.end(), object->functions.begin(),
+                             object->functions.end());
       function_base_[object] = placement.first_function;
       result_.placements.push_back(placement);
     }
-    image.text_bytes = text_cursor;
+    std::vector<int> order(image.functions.size());
+    std::iota(order.begin(), order.end(), 0);
+    image.PlaceText(order);
   }
 
   // The callable id / address a symbol index in `object` resolves to.

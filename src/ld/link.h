@@ -38,9 +38,6 @@ struct LinkOptions {
   // Base address where the data image is loaded.
   uint32_t data_base = 0x1000;
 
-  // Function placement alignment in text (affects I-cache behaviour).
-  int text_align = 16;
-
   // Instance paths (BytecodeFunction::component) whose global text symbols get
   // binding slots (Image::bindings): cross-component calls into them are emitted
   // as kCallBound through the slot instead of a baked-in function id, making the

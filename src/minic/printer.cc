@@ -116,7 +116,7 @@ std::string PrintTypedName(const Type* type, const std::string& name) {
         if (decl.front() == '*') {
           decl = "(" + decl + ")";
         }
-        decl += "[" + std::to_string(t->array_count) + "]";
+        decl.append("[").append(std::to_string(t->array_count)).append("]");
         t = t->base;
         continue;
       case Type::Kind::kFunc: {
@@ -157,7 +157,7 @@ std::string PrintExpr(const Expr& expr) {
     case Expr::Kind::kIntLit:
       return std::to_string(expr.int_value);
     case Expr::Kind::kStrLit:
-      return "\"" + EscapeString(expr.text) + "\"";
+      return std::string("\"").append(EscapeString(expr.text)).append("\"");
     case Expr::Kind::kIdent:
       return expr.text;
     case Expr::Kind::kUnary:
@@ -183,7 +183,10 @@ std::string PrintExpr(const Expr& expr) {
     case Expr::Kind::kMember:
       return PrintChild(*expr.args[0], 90) + (expr.member_arrow ? "->" : ".") + expr.text;
     case Expr::Kind::kCast:
-      return "(" + PrintTypedName(expr.cast_type, "") + ")" + PrintChild(*expr.args[0], 80);
+      return std::string("(")
+          .append(PrintTypedName(expr.cast_type, ""))
+          .append(")")
+          .append(PrintChild(*expr.args[0], 80));
     case Expr::Kind::kCond:
       return PrintChild(*expr.args[0], 21) + " ? " + PrintExpr(*expr.args[1]) + " : " +
              PrintChild(*expr.args[2], 20);

@@ -1,13 +1,12 @@
 #include "src/reconfig/reconfig.h"
 
 #include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 
 namespace knit {
 namespace {
-
-int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
 
 // Joins the error entries of a scratch Diagnostics into one report string.
 std::string RenderErrors(const Diagnostics& diags, const std::string& fallback) {
@@ -192,14 +191,11 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
     }
   }
 
-  int text_cursor = image.text_bytes;
-  for (const BytecodeFunction& function : object.functions) {
-    BytecodeFunction placed = function;
-    placed.text_offset = text_cursor;
-    text_cursor += RoundUp(placed.TextBytes(), 16);  // the linker's text_align
-    image.functions.push_back(std::move(placed));
-  }
-  image.text_bytes = text_cursor;
+  image.functions.insert(image.functions.end(), object.functions.begin(),
+                         object.functions.end());
+  std::vector<int> new_ids(appended);
+  std::iota(new_ids.begin(), new_ids.end(), old_count);
+  image.PlaceText(new_ids, image.text_bytes);
 
   // Appending functions shifts native callable ids (natives live at
   // [functions.size(), ...)). Patch every stored native reference in old code and

@@ -144,7 +144,8 @@ std::string TraceEventLog::ToJson() const {
           out += ",";
         }
         first_arg = false;
-        out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+        out.append("\"").append(JsonEscape(key)).append("\":\"");
+        out.append(JsonEscape(value)).append("\"");
       }
       out += "}";
     }

@@ -88,11 +88,12 @@ struct BytecodeFunction {
   // of the image fingerprint: attribution is metadata, not behavior.
   std::string component;
 
-  // Assigned at link time: byte offset of this function in the text space.
+  // Byte offset of this function in the text space; assigned only by
+  // Image::PlaceText (-1 until the function is placed in an image).
   int text_offset = -1;
 
-  // Text bytes this function occupies (4 bytes per instruction, padded to the
-  // 16-byte function alignment at placement).
+  // Text bytes this function occupies (4 bytes per instruction, padded to
+  // kTextAlign at placement).
   int TextBytes() const { return static_cast<int>(code.size()) * 4; }
 };
 
@@ -103,6 +104,9 @@ inline int32_t MakeCallB(int argc, bool returns_value) {
 }
 inline int CallArgc(int32_t b) { return b & 0xFFFF; }
 inline bool CallReturns(int32_t b) { return (b & 0x10000) != 0; }
+
+// The ops whose `a` is an instruction index within the function.
+inline bool IsJump(Op op) { return op == Op::kJmp || op == Op::kJz || op == Op::kJnz; }
 
 // Function-reference encoding shared by the VM, linker, and data relocations.
 constexpr uint32_t kFuncRefBit = 0x80000000u;

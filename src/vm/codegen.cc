@@ -10,13 +10,10 @@ namespace knit {
 void CodegenOptions::ApplyFlags(const std::vector<std::string>& flags) {
   for (const std::string& flag : flags) {
     if (flag == "-O0") {
-      optimize = false;
       opt_level = 0;
     } else if (flag == "-O" || flag == "-O1") {
-      optimize = true;
       opt_level = 1;
     } else if (flag == "-O2") {
-      optimize = true;
       opt_level = 2;
     } else if (flag == "-fno-inline") {
       inline_limit = 0;
@@ -1081,7 +1078,7 @@ Result<ObjectFile> CompileTranslationUnit(const TranslationUnit& unit, const Sem
   if (!object.ok()) {
     return object;
   }
-  if (options.optimize && options.opt_level >= 1) {
+  if (options.opt_level >= 1) {
     OptimizeObject(object.value(), options);
   }
   return object;

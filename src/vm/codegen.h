@@ -19,18 +19,11 @@ namespace knit {
 struct PassStats;
 
 struct CodegenOptions {
-  bool optimize = true;      // run the per-TU optimizer (inline + LVN + peephole)
-  // Optimization level: 0 = none (same as optimize=false), 1 = per-TU passes
-  // (the historical default), 2 = additionally enables the link-time image
-  // passes (a pipeline-level decision; codegen itself treats 2 like 1).
+  // Optimization level: 0 = none, 1 = the per-TU optimizer (inline + LVN +
+  // peephole; the historical default), 2 = additionally enables the link-time
+  // image passes (a pipeline-level decision; codegen itself treats 2 like 1).
   int opt_level = 1;
   int inline_limit = 48;     // max size for inlining a multiply-called function
-  bool inline_single_call = true;  // inline a local function called exactly once
-                                   // (the body is removed afterwards, so text never
-                                   // grows — what lets flattened builds both speed
-                                   // up and shrink, as in Table 1)
-  int single_call_limit = 8192;    // effectively unlimited; lower to keep big
-                                   // rarely-taken bodies out of the hot path
   int caller_growth = 32768; // stop inlining when a function reaches this many insns
 
   // Digest of the recorded profile steering this build (0 = no profile). Codegen

@@ -23,6 +23,10 @@ struct BindingSlot {
   int target = -1;        // current callee: VM function id (>= 0) or native (< 0)
 };
 
+// Function placement alignment in text (affects I-cache behaviour). Every
+// placement — the linker's, the image passes', a live swap's — uses it.
+constexpr int kTextAlign = 16;
+
 struct Image {
   // Callable space: ids [0, functions.size()) are VM functions; ids
   // [functions.size(), functions.size() + natives.size()) are natives.
@@ -66,6 +70,19 @@ struct Image {
 
   bool IsNativeId(int callable) const {
     return callable >= static_cast<int>(functions.size());
+  }
+
+  // The one text placement rule: lays the functions `order` names out back to
+  // back from byte `start`, each on a kTextAlign boundary, and sets text_bytes
+  // to the end of the last. Functions not named keep their offsets, so a live
+  // swap can append new code after the placed text without moving old code.
+  void PlaceText(const std::vector<int>& order, int start = 0) {
+    int cursor = start;
+    for (int f : order) {
+      functions[f].text_offset = cursor;
+      cursor += (functions[f].TextBytes() + kTextAlign - 1) / kTextAlign * kTextAlign;
+    }
+    text_bytes = cursor;
   }
 };
 

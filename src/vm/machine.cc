@@ -574,7 +574,7 @@ bool Machine::EnterFunction(int function_id, const uint32_t* args, int argc) {
 RunResult Machine::Call(const std::string& name, std::vector<uint32_t> args) {
   int id = image_.FindFunction(name);
   if (id < 0) {
-    return RunResult{false, 0, "no such function: " + name, {}};
+    return RunResult{false, 0, "no such function: " + name, {}, {}};
   }
   return CallId(id, std::move(args));
 }
@@ -586,15 +586,15 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
   size_t base_frames = frames_.size();
 
   if (function_id < 0 || function_id >= static_cast<int>(image_.functions.size())) {
-    return RunResult{false, 0, "bad function id", {}};
+    return RunResult{false, 0, "bad function id", {}, {}};
   }
   uint32_t injected = 0;
   FaultAction action = CheckFault(image_.functions[function_id].name, &injected);
   if (action == FaultAction::kReturn) {
-    return FinishRun(RunResult{true, injected, "", {}});
+    return FinishRun(RunResult{true, injected, "", {}, {}});
   }
   if (!EnterFunction(function_id, args.data(), static_cast<int>(args.size()))) {
-    return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_});
+    return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
   }
   if (action == FaultAction::kTrap) {
     // Trap inside the callee's frame so the backtrace names it.
@@ -1054,8 +1054,8 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
       ++profile_insns_[profile_comp];
     }
     if (host_return) {
-      return FinishRun(
-          RunResult{!trapped_, host_has_value ? host_value : 0, trap_message_, trap_backtrace_});
+      return FinishRun(RunResult{!trapped_, host_has_value ? host_value : 0, trap_message_,
+                                 trap_backtrace_, {}});
     }
   }
 
@@ -1073,7 +1073,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
     stack_pointer_ = frames_.back().saved_sp;
     frames_.pop_back();
   }
-  return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_});
+  return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
 }
 
 }  // namespace knit

@@ -46,6 +46,31 @@ void ThreadJumpChains(BytecodeFunction& function);
 // Scratch store/load peephole plus the dead-store / pop-cancellation fixpoint.
 void PeepholeOptimize(BytecodeFunction& function);
 
+// ---- the inline rule (shared by the object-scope inliner below and the image
+// scope's cross-inline pass in src/vm/passes.cc) -------------------------------
+//
+// Each scope names its callees its own way (object symbol vs image id), counts
+// references its own way, and picks its own site (first eligible vs
+// profile-hottest); the budget and the splice are the same.
+
+// Size cap for inlining a callee at its only reference. Effectively unlimited:
+// the body dies afterwards, so text never grows — what lets flattened builds
+// both speed up and shrink, as in Table 1.
+constexpr int kSingleCallLimit = 8192;
+
+// Whether `callee` may replace `call`: not variadic; small (at most
+// `inline_limit` insns) or, when `single_reference` says this call is its only
+// use, at most kSingleCallLimit insns; and the call's argc and result flag
+// match the callee's signature.
+bool WithinInlineBudget(const BytecodeFunction& callee, const Insn& call, int inline_limit,
+                        bool single_reference);
+
+// Replaces the call at `pc` in `caller` with a copy of `callee`'s body: the
+// arguments are stored into a fresh frame region, the body's locals and jumps
+// are rebased, every ret becomes a jump past the copy, and the caller's own
+// jumps over the site are shifted by the growth.
+void SpliceCall(BytecodeFunction& caller, size_t pc, const BytecodeFunction& callee);
+
 // Inlines direct calls to earlier-defined callees into `function_index`, within
 // the options' budgets. Returns the number of call sites inlined.
 int InlineCalls(ObjectFile& object, int function_index, const CodegenOptions& options);

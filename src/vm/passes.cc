@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -10,12 +11,6 @@
 
 namespace knit {
 namespace {
-
-constexpr int kWordSize = 4;
-
-int RoundUp(int value, int align) { return (value + align - 1) / align * align; }
-
-bool IsJumpOp(Op op) { return op == Op::kJmp || op == Op::kJz || op == Op::kJnz; }
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -235,7 +230,7 @@ class DevirtualizePass : public ImagePass {
       }
       std::set<int> leaders;
       for (const Insn& insn : function.code) {
-        if (IsJumpOp(insn.op)) {
+        if (IsJump(insn.op)) {
           leaders.insert(insn.a);
         }
       }
@@ -286,12 +281,12 @@ class CrossInlinePass : public ImagePass {
       index = BuildProfileIndex(*options.profile);
       hot = &index;
     }
-    // Without a profile, callers are processed in symbol (id) order. With one,
-    // Callers are walked in symbol order either way — processing a callee
-    // before its callers lets it absorb its own callees first, so a later
-    // inline of it carries the whole subtree. The profile changes which SITE
-    // each rescan round picks (hottest recorded edge instead of first-found)
-    // and how much budget a hot site may spend; see EligibleCallee/InlineInto.
+    // Callers are walked in symbol (id) order with or without a profile —
+    // processing a callee before its callers lets it absorb its own callees
+    // first, so a later inline of it carries the whole subtree. The profile
+    // changes which SITE each rescan round picks (hottest recorded edge
+    // instead of first-found) and how much budget a hot site may spend; see
+    // EligibleCallee/InlineInto.
     for (size_t f = 0; f < image.functions.size(); ++f) {
       InlineInto(image, static_cast<int>(f), options, roots, hot);
     }
@@ -314,90 +309,19 @@ class CrossInlinePass : public ImagePass {
       return -1;  // native, unresolved, or self-recursive
     }
     const BytecodeFunction& callee = image.functions[callee_id];
-    if (callee.variadic || callee.code.empty()) {
-      return -1;
+    if (callee.code.empty()) {
+      return -1;  // stubbed by dead-function elimination
     }
     int inline_limit = options.inline_limit;
     if (hot != nullptr &&
         CallSiteScore(*hot, image.functions[function_index].component, callee.component) > 0) {
       inline_limit *= 2;
     }
-    bool small = inline_limit > 0 && static_cast<int>(callee.code.size()) <= inline_limit;
     // A function called exactly once anywhere in the image inlines whole —
     // unless it is an entry point (the host calls it by name, so the body
     // must survive) or its address escapes (refs weighting).
-    bool single = options.inline_single_call && refs[callee_id] == 1 &&
-                  roots.count(callee_id) == 0 &&
-                  static_cast<int>(callee.code.size()) <= options.single_call_limit;
-    if (!small && !single) {
-      return -1;
-    }
-    if (callee.returns_value != CallReturns(call.b) || callee.param_count != CallArgc(call.b)) {
-      return -1;
-    }
-    return callee_id;
-  }
-
-  // Splices callee `callee_id` into `function_index` at call site `p`.
-  static void SpliceAt(Image& image, int function_index, size_t p, int callee_id) {
-    BytecodeFunction& caller = image.functions[function_index];
-    const BytecodeFunction& callee = image.functions[callee_id];
-
-    int base = RoundUp(caller.frame_size, kWordSize);
-    caller.frame_size = base + callee.frame_size;
-    std::vector<Insn> splice;
-    for (int i = callee.param_count - 1; i >= 0; --i) {
-      splice.push_back(Insn{Op::kStoreLocal, base + i * kWordSize, kWordSize});
-    }
-    int body_start = static_cast<int>(splice.size());
-    int end_index = body_start + static_cast<int>(callee.code.size());
-    for (const Insn& insn : callee.code) {
-      Insn copy = insn;
-      switch (copy.op) {
-        case Op::kLoadLocal:
-        case Op::kStoreLocal:
-        case Op::kAddrLocal:
-          copy.a += base;
-          break;
-        case Op::kJmp:
-        case Op::kJz:
-        case Op::kJnz:
-          copy.a += body_start;
-          break;
-        case Op::kRet:
-          copy.op = Op::kJmp;
-          copy.a = end_index;
-          break;
-        default:
-          break;
-      }
-      splice.push_back(copy);
-    }
-
-    int grow = static_cast<int>(splice.size()) - 1;
-    std::vector<Insn> out;
-    out.reserve(caller.code.size() + splice.size());
-    for (size_t i = 0; i < p; ++i) {
-      Insn insn = caller.code[i];
-      if (IsJumpOp(insn.op) && insn.a > static_cast<int>(p)) {
-        insn.a += grow;
-      }
-      out.push_back(insn);
-    }
-    for (Insn insn : splice) {
-      if (IsJumpOp(insn.op)) {
-        insn.a += static_cast<int>(p);
-      }
-      out.push_back(insn);
-    }
-    for (size_t i = p + 1; i < caller.code.size(); ++i) {
-      Insn insn = caller.code[i];
-      if (IsJumpOp(insn.op) && insn.a > static_cast<int>(p)) {
-        insn.a += grow;
-      }
-      out.push_back(insn);
-    }
-    caller.code = std::move(out);
+    bool single_reference = refs[callee_id] == 1 && roots.count(callee_id) == 0;
+    return WithinInlineBudget(callee, call, inline_limit, single_reference) ? callee_id : -1;
   }
 
   static void InlineInto(Image& image, int function_index, const ImagePassOptions& options,
@@ -438,7 +362,7 @@ class CrossInlinePass : public ImagePass {
       if (best_callee < 0) {
         break;  // nothing left to inline into this caller
       }
-      SpliceAt(image, function_index, best_site, best_callee);
+      SpliceCall(caller, best_site, image.functions[best_callee]);
       progress = true;  // indices changed; rescan
     }
   }
@@ -520,19 +444,16 @@ class ImageSimplifyPass : public ImagePass {
   }
 };
 
-// Re-places the text segment after code shrank: same formula as the linker's
-// Layout phase, so images remain deterministic and the I-cache simulator sees
+// Re-places the text segment after code shrank: id order, as the linker's
+// Layout phase places it, so images remain deterministic and the I-cache sees
 // the denser footprint (the paper's flattened-is-smaller effect).
 class ImageLayoutPass : public ImagePass {
  public:
   const char* name() const override { return "layout"; }
-  void Run(Image& image, const ImagePassOptions& options) override {
-    int text_cursor = 0;
-    for (BytecodeFunction& function : image.functions) {
-      function.text_offset = text_cursor;
-      text_cursor += RoundUp(function.TextBytes(), options.text_align);
-    }
-    image.text_bytes = text_cursor;
+  void Run(Image& image, const ImagePassOptions&) override {
+    std::vector<int> order(image.functions.size());
+    std::iota(order.begin(), order.end(), 0);
+    image.PlaceText(order);
   }
 };
 
@@ -661,19 +582,17 @@ class PgoLayoutPass : public ImagePass {
     // Within a component, most-entered functions first (recorded entry counts;
     // ties and unprofiled functions keep id order), so a component's own hot
     // entry shares cache lines with the neighbours the chain put next to it.
-    int text_cursor = 0;
+    std::vector<int> placement;
+    placement.reserve(image.functions.size());
     for (const std::string& comp : order) {
       std::vector<int>& group = members[comp];
       std::stable_sort(group.begin(), group.end(), [&](int a, int b) {
         return FunctionCallsOf(index, image.functions[a].name) >
                FunctionCallsOf(index, image.functions[b].name);
       });
-      for (int f : group) {
-        image.functions[f].text_offset = text_cursor;
-        text_cursor += RoundUp(image.functions[f].TextBytes(), options.text_align);
-      }
+      placement.insert(placement.end(), group.begin(), group.end());
     }
-    image.text_bytes = text_cursor;
+    image.PlaceText(placement);
   }
 };
 
@@ -712,16 +631,8 @@ class OutlineColdPass : public ImagePass {
           function.name.empty() || index.executed_functions.count(function.name) != 0;
       (executed ? hot : cold).push_back(f);
     }
-    int text_cursor = 0;
-    for (int f : hot) {
-      image.functions[f].text_offset = text_cursor;
-      text_cursor += RoundUp(image.functions[f].TextBytes(), options.text_align);
-    }
-    for (int f : cold) {
-      image.functions[f].text_offset = text_cursor;
-      text_cursor += RoundUp(image.functions[f].TextBytes(), options.text_align);
-    }
-    image.text_bytes = text_cursor;
+    hot.insert(hot.end(), cold.begin(), cold.end());
+    image.PlaceText(hot);
   }
 };
 

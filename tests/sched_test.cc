@@ -246,7 +246,7 @@ TEST_P(RandomLayeredConfigTest, ScheduleRespectsDeclaredNeeds) {
   for (int layer = 0; layer < layers; ++layer) {
     current.clear();
     for (int k = 0; k < per_layer; ++k) {
-      std::string name = "U" + std::to_string(counter++);
+      std::string name = std::string("U").append(std::to_string(counter++));
       std::string local = "l" + name;
       // Pick 0-2 imports from lower layers.
       std::vector<std::string> imports;
@@ -258,7 +258,7 @@ TEST_P(RandomLayeredConfigTest, ScheduleRespectsDeclaredNeeds) {
       }
       text += "unit " + name + " = { imports [";
       for (size_t m = 0; m < imports.size(); ++m) {
-        text += (m > 0 ? ", " : "") + ("i" + std::to_string(m)) + " : T";
+        text.append(m > 0 ? ", i" : "i").append(std::to_string(m)).append(" : T");
       }
       text += "]; exports [o : T]; initializer init_" + name + " for o;\n  depends { ";
       // Initializer needs a random subset of imports.
@@ -266,7 +266,7 @@ TEST_P(RandomLayeredConfigTest, ScheduleRespectsDeclaredNeeds) {
       bool first = true;
       for (size_t m = 0; m < imports.size(); ++m) {
         if (rng() % 2 == 0) {
-          init_needs += (first ? "" : " + ") + ("i" + std::to_string(m));
+          init_needs.append(first ? "i" : " + i").append(std::to_string(m));
           first = false;
           needs.emplace_back(name, imports[m]);
         }
@@ -276,7 +276,7 @@ TEST_P(RandomLayeredConfigTest, ScheduleRespectsDeclaredNeeds) {
       if (!imports.empty()) {
         text += "o needs (";
         for (size_t m = 0; m < imports.size(); ++m) {
-          text += (m > 0 ? " + " : "") + ("i" + std::to_string(m));
+          text.append(m > 0 ? " + i" : "i").append(std::to_string(m));
         }
         text += "); ";
       }

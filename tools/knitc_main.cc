@@ -8,9 +8,7 @@
 // Reads the Knit declarations and every *.c / *.h file under --src into the
 // virtual file system, runs the pipeline stage by stage (parse, elaborate,
 // schedule, check, compile, link), and optionally runs an exported function on
-// the VM or serves a packet trace on a sharded router fleet. The historical
-// command-less spelling (`knitc --knit=... [--run=...]`) keeps working as a
-// deprecated alias and picks build/run/swap from the flags given.
+// the VM or serves a packet trace on a sharded router fleet.
 //
 // Environment imports of the top unit are auto-bound: natives whose name ends in
 // "putc" write to stdout; everything else logs its invocation.
@@ -40,7 +38,7 @@ namespace knit {
 namespace {
 
 struct CliOptions {
-  std::string command;  // "build", "run", "swap", "serve", or "" (deprecated alias)
+  std::string command;  // "build", "run", "swap" or "serve"
   std::string knit_file;
   std::string src_dir;
   std::string top;
@@ -86,11 +84,6 @@ void PrintUsage(std::FILE* out) {
                "router\n"
                "                        fleet (see Serving below)\n"
                "\n"
-               "The command-less spelling `knitc --knit=... [--run=...] [--swap=...]` "
-               "is a\n"
-               "deprecated alias: it behaves as build, run, or swap depending on the "
-               "flags.\n"
-               "\n"
                "Build options:\n"
                "  --top=UNIT            top-level unit to instantiate (required)\n"
                "  --src=DIR             directory of MiniC sources (default: the .knit "
@@ -103,7 +96,6 @@ void PrintUsage(std::FILE* out) {
                "                        (default), 2 = per-unit plus whole-image link-time\n"
                "                        passes (cross-unit inlining, global dead-code\n"
                "                        elimination); outputs are identical at every level\n"
-               "  --no-optimize         disable the per-TU optimizer (alias for -O0)\n"
                "  --no-check            skip constraint checking\n"
                "  --no-flatten          ignore `flatten` markers\n"
                "  --flatten-all         merge the whole program into one translation unit\n"
@@ -235,21 +227,25 @@ bool ParseSwapSpec(const std::string& spec,
 // Returns 0 to continue, otherwise the process exit code + 1 (so 1 means
 // "exit 0", e.g. after --help).
 int ParseArgs(int argc, char** argv, CliOptions& options) {
-  int first = 1;
-  if (argc > 1 && argv[1][0] != '-') {
-    std::string command = argv[1];
-    if (command == "build" || command == "run" || command == "swap" ||
-        command == "serve") {
-      options.command = command;
-      first = 2;
+  std::string command = argc > 1 ? argv[1] : "";
+  if (command == "--help" || command == "-h") {
+    PrintUsage(stdout);
+    return 1;
+  }
+  if (command != "build" && command != "run" && command != "swap" && command != "serve") {
+    if (command.empty() || command[0] == '-') {
+      std::fprintf(stderr, "knitc: error: missing command (commands: build, run, swap, "
+                           "serve)\n");
+      PrintUsage(stderr);
     } else {
       std::fprintf(stderr,
                    "knitc: unknown command '%s' (commands: build, run, swap, serve)\n",
                    command.c_str());
-      return 3;
     }
+    return 3;
   }
-  for (int i = first; i < argc; ++i) {
+  options.command = command;
+  for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     auto value_of = [&](const char* prefix) -> std::string {
       return arg.substr(std::strlen(prefix));
@@ -309,20 +305,14 @@ int ParseArgs(int argc, char** argv, CliOptions& options) {
         std::fprintf(stderr, "knitc: error: --profile-use expects a profile file path\n");
         return 3;
       }
-    } else if (arg == "--no-optimize") {
-      options.build.optimize = false;
-      options.build.opt_level = 0;
     } else if (arg.rfind("-O", 0) == 0) {
       std::string level = arg.substr(2);
       if (level == "0") {
         options.build.opt_level = 0;
-        options.build.optimize = false;
       } else if (level.empty() || level == "1") {
         options.build.opt_level = 1;
-        options.build.optimize = true;
       } else if (level == "2") {
         options.build.opt_level = 2;
-        options.build.optimize = true;
       } else {
         std::fprintf(stderr,
                      "knitc: error: unknown optimization level '%s' (use -O0, -O1, or "
@@ -427,8 +417,7 @@ int ParseArgs(int argc, char** argv, CliOptions& options) {
       return 3;
     }
   }
-  // Per-command contracts. The deprecated command-less spelling keeps the
-  // historical behaviour: flags decide what happens.
+  // Per-command contracts.
   if (options.command == "serve") {
     if (!options.run.empty() || !options.swaps.empty()) {
       std::fprintf(stderr, "knitc: error: serve takes no --run/--swap (see knitc run, "
@@ -564,8 +553,9 @@ bool WriteStatsJson(const std::string& path, const PipelineMetrics& metrics) {
 // Merges the allocator unit library into the program (Knit declarations and
 // MiniC sources, neither overriding anything the user provided) and rewrites
 // every Alloc-family provider site in the link text to the requested unit.
-bool ApplyAllocChoice(const CliOptions& options, std::string& knit_text,
-                      SourceMap& sources) {
+// The one-line note goes to `note`.
+bool ApplyAllocChoice(const CliOptions& options, std::string& knit_text, SourceMap& sources,
+                      std::FILE* note) {
   if (options.alloc_unit.empty()) {
     return true;
   }
@@ -584,14 +574,16 @@ bool ApplyAllocChoice(const CliOptions& options, std::string& knit_text,
                  "Alloc-family unit to replace\n");
     return false;
   }
-  std::printf("knitc: allocator %s (%d provider site%s rewritten)\n",
-              options.alloc_unit.c_str(), sites, sites == 1 ? "" : "s");
+  std::fprintf(note, "knitc: allocator %s (%d provider site%s rewritten)\n",
+               options.alloc_unit.c_str(), sites, sites == 1 ? "" : "s");
   return true;
 }
 
 // `knitc serve`: build the router image once, clone it across a shard fleet,
-// and serve a synthetic two-port trace through it (src/serve/serve.h).
+// and serve a synthetic two-port trace through it (src/serve/serve.h). With
+// --json=- the JSON report owns stdout and the human summary goes to stderr.
 int ServeMain(const CliOptions& options) {
+  std::FILE* human = options.serve_json == "-" ? stderr : stdout;
   std::string knit_text;
   SourceMap sources;
   if (options.serve_clack) {
@@ -606,7 +598,7 @@ int ServeMain(const CliOptions& options) {
       return 1;
     }
   }
-  if (!ApplyAllocChoice(options, knit_text, sources)) {
+  if (!ApplyAllocChoice(options, knit_text, sources, human)) {
     return 1;
   }
 
@@ -619,8 +611,8 @@ int ServeMain(const CliOptions& options) {
   }
   auto build = std::make_shared<const KnitBuildResult>(
       KnitBuildResultFrom(built.take(), pipeline.metrics()));
-  std::printf("knitc: built '%s': %d instances, %d bytes text\n", options.top.c_str(),
-              build->stats.instance_count, build->image.text_bytes);
+  std::fprintf(human, "knitc: built '%s': %d instances, %d bytes text\n", options.top.c_str(),
+               build->stats.instance_count, build->image.text_bytes);
 
   TraceOptions trace_options;
   trace_options.count = static_cast<int>(options.serve_packets);
@@ -649,19 +641,18 @@ int ServeMain(const CliOptions& options) {
     return 1;
   }
   const ServeReport& report = served.value();
-  std::printf("knitc: served %d packets on %d shard(s), batch %d: %.0f packets/sec\n",
-              report.total.packets, options.serve_shards, options.serve_batch,
-              report.packets_per_second);
-  std::printf("  latency p50 %lld  p99 %lld  mean %.1f cycles; %.1f cycles/packet\n",
-              report.p50_cycles, report.p99_cycles, report.latency.Mean(),
-              report.total.CyclesPerPacket());
-  std::printf("  tx %u packets, aggregate hash %016llx; %s mode, %d threads\n",
-              report.total.tx_count,
-              static_cast<unsigned long long>(report.total.tx_hash),
-              report.streamed ? "streaming" : "pre-feed", report.threads);
+  std::fprintf(human, "knitc: served %d packets on %d shard(s), batch %d: %.0f packets/sec\n",
+               report.total.packets, options.serve_shards, options.serve_batch,
+               report.packets_per_second);
+  std::fprintf(human, "  latency p50 %lld  p99 %lld  mean %.1f cycles; %.1f cycles/packet\n",
+               report.p50_cycles, report.p99_cycles, report.latency.Mean(),
+               report.total.CyclesPerPacket());
+  std::fprintf(human, "  tx %u packets, aggregate hash %016llx; %s mode, %d threads\n",
+               report.total.tx_count, static_cast<unsigned long long>(report.total.tx_hash),
+               report.streamed ? "streaming" : "pre-feed", report.threads);
   if (serve.profile) {
-    std::printf("fleet component profile (exact sums over %d shards):\n%s",
-                options.serve_shards, report.total.profile.ToText().c_str());
+    std::fprintf(human, "fleet component profile (exact sums over %d shards):\n%s",
+                 options.serve_shards, report.total.profile.ToText().c_str());
     if (options.profile_file != "-" &&
         !WriteTextOutput(options.profile_file, report.total.profile.ToText())) {
       return 1;
@@ -735,7 +726,7 @@ int Main(int argc, char** argv) {
   if (!LoadSources(options.src_dir, sources)) {
     return 1;
   }
-  if (!ApplyAllocChoice(options, knit_text, sources)) {
+  if (!ApplyAllocChoice(options, knit_text, sources, stdout)) {
     return 1;
   }
 
