@@ -41,25 +41,6 @@ std::string CNameOf(const UnitDecl& unit, const std::string& port, const std::st
   return symbol;
 }
 
-// Re-reports diagnostics collected by a compile task into the caller's sink,
-// preserving severity and order (tasks are merged in task-index order, so the
-// combined stream is deterministic for every --jobs value).
-void MergeDiagnostics(const Diagnostics& from, Diagnostics& into) {
-  for (const Diagnostic& diagnostic : from.entries()) {
-    switch (diagnostic.severity) {
-      case Severity::kError:
-        into.Error(diagnostic.loc, diagnostic.message);
-        break;
-      case Severity::kWarning:
-        into.Warning(diagnostic.loc, diagnostic.message);
-        break;
-      case Severity::kNote:
-        into.Note(diagnostic.loc, diagnostic.message);
-        break;
-    }
-  }
-}
-
 // ---- cache keys --------------------------------------------------------------
 
 // Hashes `file` plus its transitive `#include "..."` closure through the in-memory
@@ -425,6 +406,215 @@ Result<CheckedConfig> KnitPipeline::Check(const ScheduledConfig& scheduled, Diag
 
 namespace {
 
+// ---- the instance contract ---------------------------------------------------
+//
+// The paper's build rule for one instance (§3, §6): its files define every
+// export and initializer/finalizer and no import; objcopy then renames its
+// symbols to their link names and hides everything else. The compile stage and
+// hot-swap replacements (CompileInstanceReplacement) both build instances
+// through these functions.
+
+struct InstanceNames {
+  std::map<std::string, std::string> renames;  // C name -> link name
+  std::set<std::string> keep_global;           // link names that stay global
+};
+
+// The link name under which `supplier` provides `symbol`: a top-level import's
+// environment name, or the producing instance's export link name.
+std::string SupplierLinkName(const Configuration& config, const SupplierRef& supplier,
+                             const std::string& symbol) {
+  if (supplier.IsEnvironment()) {
+    return EnvSymbol(config.top->imports[supplier.port].local_name, symbol);
+  }
+  const Instance& producer = config.instances[supplier.instance];
+  return MangleExport(producer.path, producer.unit->exports[supplier.port].local_name, symbol);
+}
+
+// Parses and checks `files` as the translation unit of `unit` against the
+// caller-owned TypeTable, then verifies the contract: the files define every
+// export and initializer/finalizer and do not define imports. `label` opens each
+// contract diagnostic ("unit 'X'", "replacement for P").
+Result<TranslationUnit> FrontUnit(const Elaboration& elaboration, const UnitDecl& unit,
+                                  const SourceMap& sources,
+                                  const std::vector<std::string>& files,
+                                  const std::string& label, TypeTable& types,
+                                  SemaInfo* info_out, Diagnostics& diags) {
+  Result<TranslationUnit> tu = ParseCFiles(sources, files, unit.name, types, diags);
+  if (!tu.ok()) {
+    return tu;
+  }
+  Result<SemaInfo> info = AnalyzeTranslationUnit(tu.value(), types, diags);
+  if (!info.ok()) {
+    return Result<TranslationUnit>::Failure();
+  }
+  auto defines = [&](const std::string& c_name) {
+    return info.value().defined_functions.count(c_name) > 0 ||
+           info.value().defined_globals.count(c_name) > 0;
+  };
+  bool ok = true;
+  for (const PortDecl& port : unit.exports) {
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    for (const std::string& symbol : bundle->symbols) {
+      std::string c_name = CNameOf(unit, port.local_name, symbol);
+      if (!defines(c_name)) {
+        diags.Error(port.loc, label + ": files do not define '" + c_name +
+                                  "' (the C name of export " + port.local_name + "." +
+                                  symbol + ")");
+        ok = false;
+      }
+    }
+  }
+  for (const PortDecl& port : unit.imports) {
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    for (const std::string& symbol : bundle->symbols) {
+      std::string c_name = CNameOf(unit, port.local_name, symbol);
+      if (defines(c_name)) {
+        diags.Error(port.loc, label + ": files DEFINE '" + c_name +
+                                  "', which is the C name of import " + port.local_name +
+                                  "." + symbol + " (imports must only be declared)");
+        ok = false;
+      }
+    }
+  }
+  for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
+    for (const InitFiniDecl& decl : *list) {
+      if (info.value().defined_functions.count(decl.function) == 0) {
+        diags.Error(decl.loc, label + ": files do not define initializer/finalizer '" +
+                                  decl.function + "'");
+        ok = false;
+      }
+    }
+  }
+  if (!ok) {
+    return Result<TranslationUnit>::Failure();
+  }
+  if (info_out != nullptr) {
+    *info_out = std::move(info.value());
+  }
+  return tu;
+}
+
+// Builds one instance's rename map: exports and init/fini entry points get the
+// instance's link names plus `version_suffix`; imports get their suppliers'
+// (unversioned) link names. Exports listed in `external_exports` as (instance,
+// port) stay global; a null set keeps every export global.
+bool BuildInstanceNames(const Elaboration& elaboration, const Configuration& config,
+                        int instance_index,
+                        const std::set<std::pair<int, int>>* external_exports,
+                        const std::string& version_suffix, InstanceNames& out,
+                        Diagnostics& diags) {
+  const Instance& instance = config.instances[instance_index];
+  const UnitDecl& unit = *instance.unit;
+
+  auto add = [&](const std::string& c_name, const std::string& link_name,
+                 const SourceLoc& loc) {
+    auto [it, inserted] = out.renames.emplace(c_name, link_name);
+    if (!inserted && it->second != link_name) {
+      diags.Error(loc, "instance " + instance.path + " (unit '" + unit.name +
+                           "'): C identifier '" + c_name +
+                           "' is used for two different connections; add a rename "
+                           "declaration to disambiguate");
+      return false;
+    }
+    return true;
+  };
+
+  for (size_t e = 0; e < unit.exports.size(); ++e) {
+    const PortDecl& port = unit.exports[e];
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    bool external = external_exports == nullptr ||
+                    external_exports->count({instance_index, static_cast<int>(e)}) > 0;
+    for (const std::string& symbol : bundle->symbols) {
+      std::string link = MangleExport(instance.path, port.local_name, symbol) + version_suffix;
+      if (!add(CNameOf(unit, port.local_name, symbol), link, port.loc)) {
+        return false;
+      }
+      if (external) {
+        out.keep_global.insert(link);
+      }
+    }
+  }
+  for (size_t m = 0; m < unit.imports.size(); ++m) {
+    const PortDecl& port = unit.imports[m];
+    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
+    const SupplierRef& supplier = instance.import_suppliers[m];
+    for (const std::string& symbol : bundle->symbols) {
+      if (!add(CNameOf(unit, port.local_name, symbol),
+               SupplierLinkName(config, supplier, symbol), port.loc)) {
+        return false;
+      }
+    }
+  }
+  for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
+    for (const InitFiniDecl& decl : *list) {
+      auto existing = out.renames.find(decl.function);
+      if (existing != out.renames.end()) {
+        // Also an exported symbol; the generated init object calls it by its
+        // export link name, which therefore must stay global.
+        out.keep_global.insert(existing->second);
+        continue;
+      }
+      std::string link = MangleInitFini(instance.path, decl.function) + version_suffix;
+      if (!add(decl.function, link, decl.loc)) {
+        return false;
+      }
+      out.keep_global.insert(link);
+    }
+  }
+  return true;
+}
+
+// The codegen configuration of one unit: `base` with the unit's `flags`
+// declaration applied. A base at -O0 (a build-wide -O0) overrides the flags.
+CodegenOptions UnitCodegenOptions(const Elaboration& elaboration, const UnitDecl& unit,
+                                  const CodegenOptions& base) {
+  CodegenOptions options = base;
+  if (!unit.flags_name.empty()) {
+    const FlagsDecl* decl = elaboration.FindFlags(unit.flags_name);
+    if (decl != nullptr) {
+      options.ApplyFlags(decl->flags);
+    }
+  }
+  if (base.opt_level == 0) {
+    options.opt_level = 0;
+  }
+  return options;
+}
+
+// The objcopy step of one instance: applies its renames, localizes every
+// defined global not meant to stay global (Knit's "defined names that are not
+// exported will be hidden from all other units"), checks that every kept name
+// is still defined, and stamps each function with the instance path.
+bool InstantiateObject(const Instance& instance, const InstanceNames& names,
+                       ObjectFile& object, Diagnostics& diags) {
+  if (!ObjcopyRename(object, names.renames, diags).ok()) {
+    return false;
+  }
+  for (const ObjSymbol& symbol : object.symbols) {
+    if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
+        names.keep_global.count(symbol.name) == 0) {
+      if (!ObjcopyLocalize(object, symbol.name, diags).ok()) {
+        return false;
+      }
+    }
+  }
+  // A static export or initializer cannot be reached from another object.
+  for (const std::string& keep : names.keep_global) {
+    int index = object.FindSymbol(keep);
+    if (index < 0 || object.symbols[index].section == ObjSymbol::Section::kUndefined) {
+      diags.Error(instance.unit->loc,
+                  "instance " + instance.path + ": expected defined symbol '" + keep +
+                      "' after renaming (is an export or initializer declared static, "
+                      "or missing?)");
+      return false;
+    }
+  }
+  for (BytecodeFunction& function : object.functions) {
+    function.component = instance.path;
+  }
+  return true;
+}
+
 // One compile task's output. Tasks never touch shared mutable state other than the
 // (internally locked) BuildCache; everything else lands here and is merged on the
 // calling thread in task-index order.
@@ -507,7 +697,7 @@ class CompileStage {
 
     bool failed = false;
     for (const TaskResult& result : results) {
-      MergeDiagnostics(result.diags, diags);
+      diags.Append(result.diags);
       failed = failed || !result.object.ok();
       if (result.cacheable) {
         ++(result.cache_hit ? compile_metrics.cache_hits : compile_metrics.cache_misses);
@@ -535,9 +725,14 @@ class CompileStage {
       }
       const Instance& instance = config_.instances[i];
       const TaskResult& base = results[unit_task_index.at(instance.unit->name)];
-      if (!InstantiateObject(static_cast<int>(i), base.object.value(), compiled, diags)) {
+      InstanceNames names;
+      ObjectFile object = ObjcopyDuplicate(base.object.value(), instance.path + ".o");
+      if (!BuildInstanceNames(elaboration_, config_, static_cast<int>(i), &external_exports_,
+                              "", names, diags) ||
+          !InstantiateObject(instance, names, object, diags)) {
         return Result<CompiledUnits>::Failure();
       }
+      compiled.objects.push_back(std::move(object));
       ++objcopy_metrics.items;
     }
     objcopy_metrics.seconds = Seconds(t_objcopy);
@@ -628,85 +823,6 @@ class CompileStage {
     }
   }
 
-  // ---- per-instance rename maps ----------------------------------------------
-
-  struct InstanceNames {
-    std::map<std::string, std::string> renames;  // C name -> link name
-    std::set<std::string> keep_global;           // link names that stay global
-  };
-
-  // Resolves the top-level-import environment name for a supplier reference.
-  std::string SupplierLinkName(const SupplierRef& supplier, const std::string& symbol) const {
-    if (supplier.IsEnvironment()) {
-      const PortDecl& port = config_.top->imports[supplier.port];
-      return EnvSymbol(port.local_name, symbol);
-    }
-    const Instance& producer = config_.instances[supplier.instance];
-    const PortDecl& port = producer.unit->exports[supplier.port];
-    return MangleExport(producer.path, port.local_name, symbol);
-  }
-
-  bool BuildInstanceNames(int instance_index, InstanceNames& out, Diagnostics& diags) const {
-    const Instance& instance = config_.instances[instance_index];
-    const UnitDecl& unit = *instance.unit;
-
-    auto add = [&](const std::string& c_name, const std::string& link_name,
-                   const SourceLoc& loc) {
-      auto [it, inserted] = out.renames.emplace(c_name, link_name);
-      if (!inserted && it->second != link_name) {
-        diags.Error(loc, "unit '" + unit.name + "' (instance " + instance.path +
-                             "): C identifier '" + c_name +
-                             "' is used for two different connections; add a rename "
-                             "declaration to disambiguate");
-        return false;
-      }
-      return true;
-    };
-
-    for (size_t e = 0; e < unit.exports.size(); ++e) {
-      const PortDecl& port = unit.exports[e];
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      bool external = external_exports_.count({instance_index, static_cast<int>(e)}) > 0;
-      for (const std::string& symbol : bundle->symbols) {
-        std::string link = MangleExport(instance.path, port.local_name, symbol);
-        if (!add(CNameOf(unit, port.local_name, symbol), link, port.loc)) {
-          return false;
-        }
-        if (external) {
-          out.keep_global.insert(link);
-        }
-      }
-    }
-    for (size_t m = 0; m < unit.imports.size(); ++m) {
-      const PortDecl& port = unit.imports[m];
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      const SupplierRef& supplier = instance.import_suppliers[m];
-      for (const std::string& symbol : bundle->symbols) {
-        if (!add(CNameOf(unit, port.local_name, symbol), SupplierLinkName(supplier, symbol),
-                 port.loc)) {
-          return false;
-        }
-      }
-    }
-    for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
-      for (const InitFiniDecl& decl : *list) {
-        auto existing = out.renames.find(decl.function);
-        if (existing != out.renames.end()) {
-          // Also an exported symbol; the generated init object calls it by its
-          // export link name, which therefore must stay global.
-          out.keep_global.insert(existing->second);
-          continue;
-        }
-        std::string link = MangleInitFini(instance.path, decl.function);
-        if (!add(decl.function, link, decl.loc)) {
-          return false;
-        }
-        out.keep_global.insert(link);
-      }
-    }
-    return true;
-  }
-
   // Link name used to CALL an init/fini function of an instance.
   std::string InitCallName(const InitCall& call) const {
     const Instance& instance = config_.instances[call.instance];
@@ -738,86 +854,6 @@ class CompileStage {
     return options;
   }
 
-  CodegenOptions UnitCodegenOptions(const UnitDecl& unit) const {
-    std::vector<std::string> flags;
-    if (!unit.flags_name.empty()) {
-      const FlagsDecl* decl = elaboration_.FindFlags(unit.flags_name);
-      if (decl != nullptr) {
-        flags = decl->flags;
-      }
-    }
-    CodegenOptions options = BaseCodegenOptions();
-    options.ApplyFlags(flags);
-    if (options_.opt_level == 0) {
-      options.opt_level = 0;  // a build-wide -O0 overrides unit flags
-    }
-    return options;
-  }
-
-  // Parses + checks a unit's translation unit against the caller-owned TypeTable.
-  // Verifies that the unit's files define every export and initializer/finalizer
-  // and do not define imports.
-  Result<TranslationUnit> FrontUnit(const UnitDecl& unit, TypeTable& types, SemaInfo* info_out,
-                                    Diagnostics& diags) const {
-    if (IsObjectUnit(unit)) {
-      diags.Error(unit.loc, "unit '" + unit.name + "' is object-backed and cannot be "
-                            "source-flattened");
-      return Result<TranslationUnit>::Failure();
-    }
-    Result<TranslationUnit> tu = ParseCFiles(sources_, unit.files, unit.name, types, diags);
-    if (!tu.ok()) {
-      return tu;
-    }
-    Result<SemaInfo> info = AnalyzeTranslationUnit(tu.value(), types, diags);
-    if (!info.ok()) {
-      return Result<TranslationUnit>::Failure();
-    }
-    bool ok = true;
-    for (const PortDecl& port : unit.exports) {
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      for (const std::string& symbol : bundle->symbols) {
-        std::string c_name = CNameOf(unit, port.local_name, symbol);
-        if (info.value().defined_functions.count(c_name) == 0 &&
-            info.value().defined_globals.count(c_name) == 0) {
-          diags.Error(port.loc, "unit '" + unit.name + "': files do not define '" + c_name +
-                                    "' (the C name of export " + port.local_name + "." +
-                                    symbol + ")");
-          ok = false;
-        }
-      }
-    }
-    for (const PortDecl& port : unit.imports) {
-      const BundleTypeDecl* bundle = elaboration_.FindBundleType(port.bundle_type);
-      for (const std::string& symbol : bundle->symbols) {
-        std::string c_name = CNameOf(unit, port.local_name, symbol);
-        if (info.value().defined_functions.count(c_name) > 0 ||
-            info.value().defined_globals.count(c_name) > 0) {
-          diags.Error(port.loc, "unit '" + unit.name + "': files DEFINE '" + c_name +
-                                    "', which is the C name of import " + port.local_name +
-                                    "." + symbol + " (imports must only be declared)");
-          ok = false;
-        }
-      }
-    }
-    for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
-      for (const InitFiniDecl& decl : *list) {
-        if (info.value().defined_functions.count(decl.function) == 0) {
-          diags.Error(decl.loc, "unit '" + unit.name + "': files do not define "
-                                "initializer/finalizer '" +
-                                    decl.function + "'");
-          ok = false;
-        }
-      }
-    }
-    if (!ok) {
-      return Result<TranslationUnit>::Failure();
-    }
-    if (info_out != nullptr) {
-      *info_out = std::move(info.value());
-    }
-    return tu;
-  }
-
   // ---- cache keys ------------------------------------------------------------
 
   uint64_t UnitCacheKey(const UnitDecl& unit) const {
@@ -828,7 +864,7 @@ class CompileStage {
     for (const std::string& file : unit.files) {
       HashFileClosure(sources_, file, visited, hasher);
     }
-    HashCodegenOptions(UnitCodegenOptions(unit), hasher);
+    HashCodegenOptions(UnitCodegenOptions(elaboration_, unit, BaseCodegenOptions()), hasher);
     return hasher.digest();
   }
 
@@ -903,11 +939,13 @@ class CompileStage {
     }
     TypeTable types;
     SemaInfo info;
-    Result<TranslationUnit> tu = FrontUnit(unit, types, &info, out.diags);
+    Result<TranslationUnit> tu =
+        FrontUnit(elaboration_, unit, sources_, unit.files, "unit '" + unit.name + "'", types,
+                  &info, out.diags);
     if (!tu.ok()) {
       return;
     }
-    CodegenOptions codegen_options = UnitCodegenOptions(unit);
+    CodegenOptions codegen_options = UnitCodegenOptions(elaboration_, unit, BaseCodegenOptions());
     codegen_options.pass_stats = &out.pass_stats;
     Result<ObjectFile> object = CompileTranslationUnit(
         tu.value(), info, types, codegen_options, unit.name + ".o", out.diags);
@@ -1009,7 +1047,8 @@ class CompileStage {
 
     std::vector<InstanceNames> names(members.size());
     for (size_t m = 0; m < members.size(); ++m) {
-      if (!BuildInstanceNames(members[m], names[m], out.diags)) {
+      if (!BuildInstanceNames(elaboration_, config_, members[m], &external_exports_, "",
+                              names[m], out.diags)) {
         return;
       }
     }
@@ -1027,7 +1066,9 @@ class CompileStage {
     std::vector<FlattenInput> inputs;
     for (size_t m = 0; m < members.size(); ++m) {
       const Instance& instance = config_.instances[members[m]];
-      Result<TranslationUnit> tu = FrontUnit(*instance.unit, types, nullptr, out.diags);
+      Result<TranslationUnit> tu =
+          FrontUnit(elaboration_, *instance.unit, sources_, instance.unit->files,
+                    "unit '" + instance.unit->name + "'", types, nullptr, out.diags);
       if (!tu.ok()) {
         return;
       }
@@ -1068,49 +1109,6 @@ class CompileStage {
   }
 
   // ---- deterministic merge helpers (calling thread only) ---------------------
-
-  // Objcopy-duplicates the unit's base object for one standalone instance, applies
-  // the instance's renames, and localizes everything not meant to stay global.
-  bool InstantiateObject(int instance_index, const ObjectFile& base, CompiledUnits& compiled,
-                         Diagnostics& diags) {
-    const Instance& instance = config_.instances[instance_index];
-    InstanceNames names;
-    if (!BuildInstanceNames(instance_index, names, diags)) {
-      return false;
-    }
-    ObjectFile object = ObjcopyDuplicate(base, instance.path + ".o");
-    if (!ObjcopyRename(object, names.renames, diags).ok()) {
-      return false;
-    }
-    // Hide every defined global that is not an export/init symbol: Knit's
-    // "defined names that are not exported will be hidden from all other units".
-    for (const ObjSymbol& symbol : object.symbols) {
-      if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
-          names.keep_global.count(symbol.name) == 0) {
-        if (!ObjcopyLocalize(object, symbol.name, diags).ok()) {
-          return false;
-        }
-      }
-    }
-    // Verify init/fini symbols are global (a static initializer cannot be called
-    // from the generated init object).
-    for (const std::string& keep : names.keep_global) {
-      int index = object.FindSymbol(keep);
-      if (index < 0 || object.symbols[index].section == ObjSymbol::Section::kUndefined) {
-        diags.Error(instance.unit->loc,
-                    "instance " + instance.path + ": expected defined symbol '" + keep +
-                        "' after renaming (is an export or initializer declared static, "
-                        "or missing?)");
-        return false;
-      }
-    }
-    // Every function of a standalone instance object belongs to that instance.
-    for (BytecodeFunction& function : object.functions) {
-      function.component = instance.path;
-    }
-    compiled.objects.push_back(std::move(object));
-    return true;
-  }
 
   // ---- init/fini object ------------------------------------------------------
 
@@ -1331,18 +1329,9 @@ Result<LinkedImage> KnitPipeline::Link(const CompiledUnits& compiled, Diagnostic
   for (size_t e = 0; e < config.top->exports.size(); ++e) {
     const PortDecl& port = config.top->exports[e];
     const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    const SupplierRef& supplier = config.top_export_suppliers[e];
     for (const std::string& symbol : bundle->symbols) {
-      std::string link_name;
-      if (supplier.IsEnvironment()) {
-        const PortDecl& import_port = config.top->imports[supplier.port];
-        link_name = EnvSymbol(import_port.local_name, symbol);
-      } else {
-        const Instance& producer = config.instances[supplier.instance];
-        const PortDecl& producer_port = producer.unit->exports[supplier.port];
-        link_name = MangleExport(producer.path, producer_port.local_name, symbol);
-      }
-      image.export_names[{port.local_name, symbol}] = link_name;
+      image.export_names[{port.local_name, symbol}] =
+          SupplierLinkName(config, config.top_export_suppliers[e], symbol);
     }
   }
   return image;
@@ -1463,164 +1452,49 @@ Result<ReplacementObject> CompileInstanceReplacement(
     return Result<ReplacementObject>::Failure();
   }
 
-  // Parse + check the replacement source against the SAME interface contract the
-  // compile stage enforces for the original unit files.
-  SourceMap replacement_sources = sources;  // copied so #include resolution works
+  // The replacement source stands in for the unit's files; the rest of `sources`
+  // stays visible for #include resolution.
+  SourceMap replacement_sources = sources;
   replacement_sources[source_name] = source;
   TypeTable types;
+  SemaInfo info;
   Result<TranslationUnit> tu =
-      ParseCFiles(replacement_sources, {source_name}, unit.name, types, diags);
+      FrontUnit(elaboration, unit, replacement_sources, {source_name},
+                "replacement for " + instance_path, types, &info, diags);
   if (!tu.ok()) {
     return Result<ReplacementObject>::Failure();
   }
-  Result<SemaInfo> info = AnalyzeTranslationUnit(tu.value(), types, diags);
-  if (!info.ok()) {
-    return Result<ReplacementObject>::Failure();
-  }
-  bool ok = true;
-  for (const PortDecl& port : unit.exports) {
-    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    for (const std::string& symbol : bundle->symbols) {
-      std::string c_name = CNameOf(unit, port.local_name, symbol);
-      if (info.value().defined_functions.count(c_name) == 0 &&
-          info.value().defined_globals.count(c_name) == 0) {
-        diags.Error(port.loc, "replacement for " + instance_path + ": source does not define '" +
-                                  c_name + "' (the C name of export " + port.local_name + "." +
-                                  symbol + ")");
-        ok = false;
-      }
-    }
-  }
-  for (const PortDecl& port : unit.imports) {
-    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    for (const std::string& symbol : bundle->symbols) {
-      std::string c_name = CNameOf(unit, port.local_name, symbol);
-      if (info.value().defined_functions.count(c_name) > 0 ||
-          info.value().defined_globals.count(c_name) > 0) {
-        diags.Error(port.loc, "replacement for " + instance_path + ": source DEFINES '" + c_name +
-                                  "', which is the C name of import " + port.local_name + "." +
-                                  symbol + " (imports must only be declared)");
-        ok = false;
-      }
-    }
-  }
-  for (const std::vector<InitFiniDecl>* list : {&unit.initializers, &unit.finalizers}) {
-    for (const InitFiniDecl& decl : *list) {
-      if (info.value().defined_functions.count(decl.function) == 0) {
-        diags.Error(decl.loc, "replacement for " + instance_path +
-                                  ": source does not define initializer/finalizer '" +
-                                  decl.function + "'");
-        ok = false;
-      }
-    }
-  }
-  if (!ok) {
-    return Result<ReplacementObject>::Failure();
-  }
-
-  CodegenOptions codegen_options;
-  if (!unit.flags_name.empty()) {
-    const FlagsDecl* flags = elaboration.FindFlags(unit.flags_name);
-    if (flags != nullptr) {
-      codegen_options.ApplyFlags(flags->flags);
-    }
-  }
+  // Codegen options are the defaults plus the unit's `flags`: the build's -O
+  // level and inline budgets are not carried into a swap.
   Result<ObjectFile> object =
-      CompileTranslationUnit(tu.value(), info.value(), types, codegen_options,
+      CompileTranslationUnit(tu.value(), info, types,
+                             UnitCodegenOptions(elaboration, unit, CodegenOptions()),
                              instance_path + version_suffix + ".o", diags);
   if (!object.ok()) {
     return Result<ReplacementObject>::Failure();
   }
+  // Versioned names let the replacement's globals coexist with the retired
+  // generation's in one image. Every export stays global: the running image may
+  // retarget any of them.
+  InstanceNames names;
   ReplacementObject out;
   out.object = object.take();
-
-  // Rename map: exports and init/fini entry points get their instance link names
-  // plus the version suffix (so the replacement's globals coexist with the
-  // retired generation's in one image); imports resolve to the running
-  // configuration's unversioned supplier link names.
-  std::map<std::string, std::string> renames;
-  std::set<std::string> keep_global;
-  auto add = [&](const std::string& c_name, const std::string& link_name, const SourceLoc& loc) {
-    auto [it, inserted] = renames.emplace(c_name, link_name);
-    if (!inserted && it->second != link_name) {
-      diags.Error(loc, "replacement for " + instance_path + ": C identifier '" + c_name +
-                           "' is used for two different connections");
-      return false;
-    }
-    return true;
-  };
-  for (const PortDecl& port : unit.exports) {
-    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    for (const std::string& symbol : bundle->symbols) {
-      std::string link = MangleExport(instance_path, port.local_name, symbol);
-      std::string versioned = link + version_suffix;
-      if (!add(CNameOf(unit, port.local_name, symbol), versioned, port.loc)) {
-        return Result<ReplacementObject>::Failure();
-      }
-      keep_global.insert(versioned);
-      out.export_links[link] = versioned;
-    }
-  }
-  for (size_t m = 0; m < unit.imports.size(); ++m) {
-    const PortDecl& port = unit.imports[m];
-    const BundleTypeDecl* bundle = elaboration.FindBundleType(port.bundle_type);
-    const SupplierRef& supplier = instance.import_suppliers[m];
-    for (const std::string& symbol : bundle->symbols) {
-      std::string link;
-      if (supplier.IsEnvironment()) {
-        link = EnvSymbol(config.top->imports[supplier.port].local_name, symbol);
-      } else {
-        const Instance& producer = config.instances[supplier.instance];
-        link = MangleExport(producer.path, producer.unit->exports[supplier.port].local_name,
-                            symbol);
-      }
-      if (!add(CNameOf(unit, port.local_name, symbol), link, port.loc)) {
-        return Result<ReplacementObject>::Failure();
-      }
-    }
-  }
-  auto init_link = [&](const InitFiniDecl& decl, std::vector<std::string>& list) {
-    auto existing = renames.find(decl.function);
-    if (existing != renames.end()) {
-      // Also an exported symbol: the versioned export link name is the entry.
-      keep_global.insert(existing->second);
-      list.push_back(existing->second);
-      return true;
-    }
-    std::string versioned = MangleInitFini(instance_path, decl.function) + version_suffix;
-    if (!add(decl.function, versioned, decl.loc)) {
-      return false;
-    }
-    keep_global.insert(versioned);
-    list.push_back(versioned);
-    return true;
-  };
-  for (const InitFiniDecl& decl : unit.initializers) {
-    if (!init_link(decl, out.initializers)) {
-      return Result<ReplacementObject>::Failure();
-    }
-  }
-  for (const InitFiniDecl& decl : unit.finalizers) {
-    if (!init_link(decl, out.finalizers)) {
-      return Result<ReplacementObject>::Failure();
-    }
-  }
-  if (!ObjcopyRename(out.object, renames, diags).ok()) {
+  if (!BuildInstanceNames(elaboration, config, instance_index, nullptr, version_suffix, names,
+                          diags) ||
+      !InstantiateObject(instance, names, out.object, diags)) {
     return Result<ReplacementObject>::Failure();
   }
-  // Hide every other defined global, as the compile stage does: replacement-local
-  // names must not collide with (or capture references meant for) the rest of the
-  // running image.
-  for (const ObjSymbol& symbol : out.object.symbols) {
-    if (symbol.global && symbol.section != ObjSymbol::Section::kUndefined &&
-        keep_global.count(symbol.name) == 0) {
-      if (!ObjcopyLocalize(out.object, symbol.name, diags).ok()) {
-        return Result<ReplacementObject>::Failure();
-      }
+  for (const PortDecl& port : unit.exports) {
+    for (const std::string& symbol : elaboration.FindBundleType(port.bundle_type)->symbols) {
+      std::string link = MangleExport(instance_path, port.local_name, symbol);
+      out.export_links[link] = link + version_suffix;
     }
   }
-  for (BytecodeFunction& function : out.object.functions) {
-    function.component = instance_path;
+  for (const InitFiniDecl& decl : unit.initializers) {
+    out.initializers.push_back(names.renames.at(decl.function));
+  }
+  for (const InitFiniDecl& decl : unit.finalizers) {
+    out.finalizers.push_back(names.renames.at(decl.function));
   }
   return out;
 }

@@ -10,24 +10,6 @@ namespace knit {
 
 namespace {
 
-// Re-reports one Diagnostics into another (shard workers accumulate privately —
-// Diagnostics is not thread-safe — and Serve merges the failures afterwards).
-void MergeDiags(const Diagnostics& from, Diagnostics& into) {
-  for (const Diagnostic& d : from.entries()) {
-    switch (d.severity) {
-      case Severity::kError:
-        into.Error(d.loc, d.message);
-        break;
-      case Severity::kWarning:
-        into.Warning(d.loc, d.message);
-        break;
-      case Severity::kNote:
-        into.Note(d.loc, d.message);
-        break;
-    }
-  }
-}
-
 // Exact per-component sum of shard profiles: every counter of the aggregate is
 // the sum of the shard rows for that component / edge — attribution never
 // loses a cycle across shards, same as it never loses one within a shard.
@@ -358,7 +340,7 @@ Result<ServeReport> RouterFleet::Serve(const std::vector<TracePacket>& trace,
     if (shard->failed) {
       failed = true;
     }
-    MergeDiags(shard->diags, diags);
+    diags.Append(shard->diags);
   }
   if (failed) {
     return Result<ServeReport>::Failure();

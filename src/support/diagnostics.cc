@@ -44,6 +44,12 @@ void Diagnostics::Note(SourceLoc loc, std::string message) {
   Add(Severity::kNote, std::move(loc), std::move(message));
 }
 
+void Diagnostics::Append(const Diagnostics& from) {
+  entries_.insert(entries_.end(), from.entries_.begin(), from.entries_.end());
+  error_count_ += from.error_count_;
+  warning_count_ += from.warning_count_;
+}
+
 void Diagnostics::Add(Severity severity, SourceLoc loc, std::string message) {
   if (severity == Severity::kError) {
     ++error_count_;

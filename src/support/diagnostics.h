@@ -49,6 +49,11 @@ class Diagnostics {
   void Warning(SourceLoc loc, std::string message);
   void Note(SourceLoc loc, std::string message);
 
+  // Re-reports every entry of `from` after this sink's own, keeping order and
+  // severity. Lets a worker collect into a private sink (Diagnostics is not
+  // thread-safe) that the caller merges afterwards in a fixed order.
+  void Append(const Diagnostics& from);
+
   bool has_errors() const { return error_count_ > 0; }
   size_t error_count() const { return error_count_; }
   size_t warning_count() const { return warning_count_; }

@@ -78,6 +78,31 @@ TEST(Diagnostics, CountsAndRendering) {
   EXPECT_EQ(diags.ToString(), "");
 }
 
+TEST(Diagnostics, AppendKeepsOrderSeverityAndCounts) {
+  Diagnostics into;
+  into.Error(SourceLoc{"a.c", 1, 1}, "first");
+  Diagnostics from;
+  from.Note(SourceLoc::Unknown(), "n");
+  from.Warning(SourceLoc{"b.c", 2, 0}, "w");
+  from.Error(SourceLoc{"b.c", 3, 4}, "e");
+  into.Append(from);
+  into.Append(Diagnostics());
+
+  ASSERT_EQ(into.entries().size(), 4u);
+  const Severity expected[] = {Severity::kError, Severity::kNote, Severity::kWarning,
+                               Severity::kError};
+  const char* messages[] = {"first", "n", "w", "e"};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(into.entries()[i].severity, expected[i]) << i;
+    EXPECT_EQ(into.entries()[i].message, messages[i]) << i;
+  }
+  EXPECT_EQ(into.entries()[3].loc.ToString(), "b.c:3:4");
+  EXPECT_EQ(into.error_count(), 2u);
+  EXPECT_EQ(into.warning_count(), 1u);
+  EXPECT_EQ(into.FirstError(), "first");
+  EXPECT_EQ(from.entries().size(), 3u) << "the source sink is left as it was";
+}
+
 TEST(ResultType, ValueAndFailure) {
   Result<int> ok = 7;
   EXPECT_TRUE(ok.ok());
