@@ -200,14 +200,20 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   // Appending functions shifts native callable ids (natives live at
   // [functions.size(), ...)). Patch every stored native reference in old code and
   // data by the same delta, so the shift is unobservable: direct calls, funcref
-  // constants, and linker-recorded funcref data words.
+  // constants, and linker-recorded funcref data words. Only ids inside the
+  // native range move; any other top-bit-set word (a literal such as -1) is data.
+  const int native_end = old_count + static_cast<int>(image.natives.size());
+  auto is_native_ref = [&](uint32_t value) {
+    return IsFuncRef(value) && DecodeFuncRef(value) >= old_count &&
+           DecodeFuncRef(value) < native_end;
+  };
   for (int f = 0; f < old_count; ++f) {
     for (Insn& insn : image.functions[f].code) {
       if (insn.op == Op::kCall && insn.a >= old_count) {
         insn.a += appended;
       } else if (insn.op == Op::kConstInt) {
         uint32_t value = static_cast<uint32_t>(insn.a);
-        if (IsFuncRef(value) && DecodeFuncRef(value) >= old_count) {
+        if (is_native_ref(value)) {
           insn.a = static_cast<int32_t>(EncodeFuncRef(DecodeFuncRef(value) + appended));
         }
       }
@@ -226,7 +232,7 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
   };
   for (uint32_t address : image.func_ref_data) {
     uint32_t value = machine_.ReadWord(address);
-    if (IsFuncRef(value) && DecodeFuncRef(value) >= old_count) {
+    if (is_native_ref(value)) {
       patch_data_word(address, EncodeFuncRef(DecodeFuncRef(value) + appended));
     }
   }
