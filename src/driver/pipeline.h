@@ -250,13 +250,14 @@ struct ReplacementObject {
   std::map<std::string, std::string> export_links;
 };
 
-// Compiles `source` as a replacement for the instance at `instance_path`,
-// enforcing the same interface contract the compile stage enforces for the
-// original unit files (exports/initializers defined, imports only declared).
-// Exports and init/fini entry points are renamed to their instance link names
-// plus `version_suffix`; imports resolve to the running configuration's
-// (unversioned) supplier link names; everything else is localized. `sources`
-// provides #include resolution; `source_name` labels diagnostics.
+// Compiles `source` as a replacement for the instance at `instance_path`
+// through the compile stage's own instance path: the same contract check
+// (exports/initializers defined, imports only declared), rename map and objcopy
+// step. Exports and init/fini entry points are renamed to their instance link
+// names plus `version_suffix` and all stay global; imports resolve to the
+// running configuration's (unversioned) supplier link names; everything else is
+// localized. `sources` provides #include resolution; `source_name` labels
+// diagnostics.
 Result<ReplacementObject> CompileInstanceReplacement(
     const Elaboration& elaboration, const Configuration& config,
     const std::string& instance_path, const std::string& source,
