@@ -45,7 +45,7 @@ InitCost Measure(bool failsafe) {
 
   Machine machine(result.image);
   machine.BindNative(EnvSymbol("raw", "raw_putc"),
-                     [](Machine&, const std::vector<uint32_t>&) { return 0u; });
+                     [](Machine&, std::span<const uint32_t>) { return 0u; });
 
   InitCost cost;
   cost.image_functions = static_cast<long long>(result.image.functions.size());

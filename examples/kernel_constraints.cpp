@@ -35,7 +35,7 @@ int main() {
     std::printf("IntrKernelGood (handler -> VgaConsole): builds cleanly\n");
     Machine machine(build.value().image);
     machine.BindNative(EnvSymbol("raw", "raw_putc"),
-                       [](Machine&, const std::vector<uint32_t>& args) {
+                       [](Machine&, std::span<const uint32_t> args) {
                          if (!args.empty()) {
                            std::fputc(static_cast<char>(args[0] & 0xFF), stdout);
                          }

@@ -42,8 +42,7 @@ Result<std::unique_ptr<RouterSession>> RouterSession::Open(
   // moves (the Machine keeps the closure).
   std::shared_ptr<TxAccum> accum = session->accum_;
   std::shared_ptr<RouterStats> stats = session->stats_;
-  machine.BindNative(dev_native, [accum, stats](Machine& m,
-                                                const std::vector<uint32_t>& args) {
+  machine.BindNative(dev_native, [accum, stats](Machine& m, std::span<const uint32_t> args) {
     if (args.size() < 3) {
       return 0u;
     }
@@ -65,7 +64,7 @@ Result<std::unique_ptr<RouterSession>> RouterSession::Open(
   return session;
 }
 
-std::vector<int> RouterSession::ResolveEntries() const {
+std::array<int, 2> RouterSession::ResolveEntries() const {
   return {machine_->image().FindFunction(entry_names_.at("in0")),
           machine_->image().FindFunction(entry_names_.at("in1"))};
 }
@@ -87,7 +86,8 @@ Result<void> RouterSession::FeedBatch(const TracePacket* const* packets,
   // Batched dispatch: the entry symbols resolve once per batch. A packet hook
   // can hot-swap the element owning an entry between packets, so its presence
   // forces per-packet re-resolution (correctness over amortization).
-  std::vector<int> entries = ResolveEntries();
+  std::array<int, 2> entries = ResolveEntries();
+  const uint32_t pkt_arg[1] = {pkt_struct_addr_};
 
   for (size_t p = 0; p < count; ++p) {
     const TracePacket& packet = *packets[p];
@@ -111,8 +111,7 @@ Result<void> RouterSession::FeedBatch(const TracePacket* const* packets,
     uint32_t tx_before = accum_->count;
     long long cycles_before = machine_->cycles();
     long long stalls_before = machine_->ifetch_stalls();
-    RunResult result =
-        machine_->CallId(entries[packet.in_port == 0 ? 0 : 1], {pkt_struct_addr_});
+    RunResult result = machine_->CallId(entries[packet.in_port == 0 ? 0 : 1], pkt_arg);
     if (!result.ok) {
       diags.Error(SourceLoc::Unknown(), "router trapped on packet " +
                                             std::to_string(stats_->packets) + ": " +

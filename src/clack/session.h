@@ -23,6 +23,7 @@
 #ifndef SRC_CLACK_SESSION_H_
 #define SRC_CLACK_SESSION_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -154,7 +155,7 @@ class RouterSession {
 
   RouterSession() = default;
 
-  std::vector<int> ResolveEntries() const;  // {in0 id, in1 id}
+  std::array<int, 2> ResolveEntries() const;  // {in0 id, in1 id}
 
   Machine* machine_ = nullptr;
   std::map<std::string, std::string> entry_names_;

@@ -1,14 +1,22 @@
 #include "src/vm/machine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
+#include <cstring>
+#include <new>
 
 namespace knit {
 
 namespace {
 constexpr uint32_t kNullGuard = 0x1000;  // accesses below this address trap
 constexpr uint32_t kStackBytes = 1 << 20;
+// Evaluation-stack words reserved up front, so ordinary runs never grow it.
+constexpr size_t kEvalReserve = 4096;
+// Native calls with at most this many arguments copy them to the host stack;
+// wider ones (variadic natives only) fall back to a heap copy.
+constexpr int kInlineNativeArgs = 16;
 }  // namespace
 
 std::string ComponentProfile::ToText(size_t max_edges) const {
@@ -62,46 +70,60 @@ std::string ComponentProfile::ToText(size_t max_edges) const {
 }
 
 Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
-    : image_(image), cost_(cost), memory_(memory_bytes, 0), max_insns_(cost.max_insns) {
+    : image_(image),
+      cost_(cost),
+      memory_(static_cast<uint8_t*>(std::calloc(memory_bytes, 1))),
+      memory_size_(memory_bytes),
+      max_insns_(cost.max_insns) {
+  if (memory_ == nullptr && memory_bytes > 0) {
+    throw std::bad_alloc();
+  }
   assert(image.data_base >= kNullGuard);
   // Load the data image.
-  for (size_t i = 0; i < image.data.size(); ++i) {
-    memory_[image.data_base + i] = image.data[i];
+  if (!image.data.empty()) {
+    std::memcpy(memory_.get() + image.data_base, image.data.data(), image.data.size());
   }
   heap_end_ = image.data_base + static_cast<uint32_t>(image.data.size());
   heap_end_ = (heap_end_ + 0xFFF) & ~0xFFFu;  // page align
   stack_pointer_ = memory_bytes;
+  eval_.reserve(kEvalReserve);
 
   icache_sets_ = cost_.icache_bytes / (cost_.icache_line * cost_.icache_ways);
   icache_.assign(static_cast<size_t>(icache_sets_) * cost_.icache_ways, CacheWay{});
+  icache_pow2_ = std::has_single_bit(static_cast<unsigned>(cost_.icache_line)) &&
+                 std::has_single_bit(static_cast<unsigned>(icache_sets_));
+  if (icache_pow2_) {
+    icache_line_shift_ = std::countr_zero(static_cast<unsigned>(cost_.icache_line));
+    icache_set_shift_ = std::countr_zero(static_cast<unsigned>(icache_sets_));
+  }
 
   BindBuiltins();
 }
 
 void Machine::BindBuiltins() {
-  BindNative("__sbrk", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__sbrk", [](Machine& m, std::span<const uint32_t> args) {
     return m.Sbrk(args.empty() ? 0 : args[0]);
   });
-  BindNative("__putchar", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__putchar", [](Machine& m, std::span<const uint32_t> args) {
     if (!args.empty()) {
       m.console_ += static_cast<char>(args[0] & 0xFF);
     }
     return 0u;
   });
-  BindNative("__cycles", [](Machine& m, const std::vector<uint32_t>&) {
+  BindNative("__cycles", [](Machine& m, std::span<const uint32_t>) {
     return static_cast<uint32_t>(m.cycles_);
   });
-  BindNative("__vararg_count", [](Machine& m, const std::vector<uint32_t>&) {
+  BindNative("__vararg_count", [](Machine& m, std::span<const uint32_t>) {
     return static_cast<uint32_t>(m.CurrentVarargCount());
   });
-  BindNative("__vararg", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__vararg", [](Machine& m, std::span<const uint32_t> args) {
     return m.CurrentVararg(args.empty() ? 0 : static_cast<int>(args[0]));
   });
-  BindNative("__abort", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__abort", [](Machine& m, std::span<const uint32_t> args) {
     m.Trap("program aborted (code " + std::to_string(args.empty() ? 0 : args[0]) + ")");
     return 0u;
   });
-  BindNative("__trace", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__trace", [](Machine& m, std::span<const uint32_t> args) {
     m.console_ += "[trace " + std::to_string(args.empty() ? 0 : static_cast<int32_t>(args[0])) +
                   "]";
     return 0u;
@@ -109,11 +131,11 @@ void Machine::BindBuiltins() {
   // Heap accounting intrinsics: allocator units report each SUCCESSFUL
   // malloc/free so the machine can keep exact totals (and, while profiling,
   // per-requester attribution) without knowing any allocator's internals.
-  BindNative("__alloc_note", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__alloc_note", [](Machine& m, std::span<const uint32_t> args) {
     m.NoteAlloc(args.empty() ? 0 : args[0]);
     return 0u;
   });
-  BindNative("__free_note", [](Machine& m, const std::vector<uint32_t>& args) {
+  BindNative("__free_note", [](Machine& m, std::span<const uint32_t> args) {
     m.NoteFree(args.empty() ? 0 : args[0]);
     return 0u;
   });
@@ -121,6 +143,20 @@ void Machine::BindBuiltins() {
 
 void Machine::BindNative(const std::string& name, NativeFn fn) {
   natives_[name] = std::move(fn);
+  native_table_.clear();
+}
+
+const NativeFn* Machine::NativeAt(size_t index) {
+  if (index >= native_table_.size()) {
+    native_table_.assign(image_.natives.size(), nullptr);
+    for (size_t n = 0; n < image_.natives.size(); ++n) {
+      auto it = natives_.find(image_.natives[n]);
+      if (it != natives_.end()) {
+        native_table_[n] = &it->second;
+      }
+    }
+  }
+  return native_table_[index];
 }
 
 void Machine::ResetCounters() {
@@ -316,7 +352,7 @@ bool Machine::CheckRange(uint32_t address, uint32_t size) {
     Trap("null/guard-page dereference at address " + std::to_string(address));
     return false;
   }
-  if (static_cast<uint64_t>(address) + size > memory_.size()) {
+  if (static_cast<uint64_t>(address) + size > memory_size_) {
     Trap("out-of-range memory access at address " + std::to_string(address));
     return false;
   }
@@ -470,6 +506,7 @@ void Machine::RefreshAfterImageGrowth() {
   // A swap retargets call sites; retire the indirect-branch predictions so the
   // first post-swap call at each site pays the miss, as real hardware would.
   btb_.clear();
+  native_table_.clear();
   if (!profiling_) {
     return;
   }
@@ -501,9 +538,19 @@ void Machine::RefreshAfterImageGrowth() {
 }
 
 void Machine::ICacheAccess(uint32_t text_address) {
-  int64_t line = text_address / static_cast<uint32_t>(cost_.icache_line);
-  int set = static_cast<int>(line % icache_sets_);
-  int64_t tag = line / icache_sets_;
+  uint32_t line = icache_pow2_ ? text_address >> icache_line_shift_
+                               : text_address / static_cast<uint32_t>(cost_.icache_line);
+  // Refetching the previous line is a hit that needs no bookkeeping: that line
+  // holds the newest stamp in its set, and stamps are only ever compared within
+  // a set, so restamping it (and advancing the clock) would leave every LRU
+  // decision unchanged.
+  if (static_cast<int64_t>(line) == icache_last_line_) {
+    return;
+  }
+  icache_last_line_ = line;
+  uint32_t sets = static_cast<uint32_t>(icache_sets_);
+  uint32_t set = icache_pow2_ ? line & (sets - 1) : line % sets;
+  int64_t tag = icache_pow2_ ? line >> icache_set_shift_ : line / sets;
   CacheWay* ways = &icache_[static_cast<size_t>(set) * cost_.icache_ways];
   ++icache_clock_;
   int victim = 0;
@@ -523,11 +570,14 @@ void Machine::ICacheAccess(uint32_t text_address) {
   cycles_ += cost_.icache_miss_stall;
 }
 
-bool Machine::EnterFunction(int function_id, const uint32_t* args, int argc) {
+template <bool kProfiling>
+bool Machine::EnterFunction(int function_id, size_t args_base) {
   const BytecodeFunction& function = image_.functions[function_id];
+  int argc = static_cast<int>(eval_.size() - args_base);
   int fixed = function.param_count;
   int extras = argc - fixed;
   if (extras < 0) {
+    eval_.resize(args_base);
     Trap("call to " + function.name + " with too few arguments");
     return false;
   }
@@ -538,6 +588,7 @@ bool Machine::EnterFunction(int function_id, const uint32_t* args, int argc) {
       static_cast<uint32_t>(function.frame_size) + static_cast<uint32_t>(extras) * 4 + 16;
   frame_bytes = (frame_bytes + 7) & ~7u;
   if (stack_pointer_ < heap_end_ + frame_bytes + 4096) {
+    eval_.resize(args_base);
     Trap("stack overflow entering " + function.name);
     return false;
   }
@@ -547,17 +598,20 @@ bool Machine::EnterFunction(int function_id, const uint32_t* args, int argc) {
   frame.function = function_id;
   frame.pc = 0;
   frame.fp = stack_pointer_;
-  frame.eval_base = eval_.size();
-  frame.vararg_count = function.variadic ? extras : 0;
+  frame.eval_base = args_base;
+  frame.vararg_count = extras;
   frame.vararg_base = frame.fp + static_cast<uint32_t>(function.frame_size);
-  // Copy fixed params into the first slots and varargs after the static frame.
-  for (int i = 0; i < fixed && i < argc; ++i) {
+  // Copy fixed params into the first slots and varargs after the static frame,
+  // straight off the evaluation stack, then pop them.
+  const uint32_t* args = eval_.data() + args_base;
+  for (int i = 0; i < fixed; ++i) {
     WriteWord(frame.fp + static_cast<uint32_t>(i) * 4, args[i]);
   }
-  for (int i = 0; i < frame.vararg_count; ++i) {
+  for (int i = 0; i < extras; ++i) {
     WriteWord(frame.vararg_base + static_cast<uint32_t>(i) * 4, args[fixed + i]);
   }
-  if (profiling_) {
+  eval_.resize(args_base);
+  if constexpr (kProfiling) {
     ++profile_fn_calls_[function_id];
     // Entering a frame of a different component (the host counts as a different
     // component) opens a span on the event timeline.
@@ -571,15 +625,15 @@ bool Machine::EnterFunction(int function_id, const uint32_t* args, int argc) {
   return true;
 }
 
-RunResult Machine::Call(const std::string& name, std::vector<uint32_t> args) {
+RunResult Machine::Call(const std::string& name, const std::vector<uint32_t>& args) {
   int id = image_.FindFunction(name);
   if (id < 0) {
     return RunResult{false, 0, "no such function: " + name, {}, {}};
   }
-  return CallId(id, std::move(args));
+  return CallId(id, args);
 }
 
-RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
+RunResult Machine::CallId(int function_id, std::span<const uint32_t> args) {
   trapped_ = false;
   trap_message_.clear();
   trap_backtrace_.clear();
@@ -593,28 +647,59 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
   if (action == FaultAction::kReturn) {
     return FinishRun(RunResult{true, injected, "", {}, {}});
   }
-  if (!EnterFunction(function_id, args.data(), static_cast<int>(args.size()))) {
+  // The profiling mode is fixed here for the whole call (see machine.h).
+  const bool profiling = profiling_;
+  size_t args_base = eval_.size();
+  eval_.insert(eval_.end(), args.begin(), args.end());
+  bool entered = profiling ? EnterFunction<true>(function_id, args_base)
+                           : EnterFunction<false>(function_id, args_base);
+  if (!entered) {
     return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
   }
   if (action == FaultAction::kTrap) {
     // Trap inside the callee's frame so the backtrace names it.
     Trap("fault injected into '" + image_.functions[function_id].name + "'");
   }
+  return profiling ? RunLoop<true>(base_frames) : RunLoop<false>(base_frames);
+}
 
+template <bool kProfiling>
+RunResult Machine::RunLoop(size_t base_frames) {
   // Set at kRet when the popped frame returns control to the host; the loop exits
   // after the instruction's attribution is recorded.
   bool host_return = false;
   bool host_has_value = false;
   uint32_t host_value = 0;
 
-  while (frames_.size() > base_frames && !trapped_) {
-    Frame& frame = frames_.back();
-    const BytecodeFunction& function = image_.functions[frame.function];
-    if (frame.pc < 0 || static_cast<size_t>(frame.pc) >= function.code.size()) {
-      Trap("pc out of range in " + function.name);
+  // The executing frame, cached. frames_ can reallocate inside any call (a
+  // native may re-enter the machine) and image_.functions can grow inside a
+  // native (a hot swap), so these are reloaded after every call and return and
+  // nothing here is used across one before that.
+  Frame* frame = nullptr;
+  const Insn* code = nullptr;
+  size_t code_size = 0;
+  uint32_t text_base = 0;
+  int frame_component = -1;
+  auto load_frame = [&] {
+    frame = &frames_.back();
+    const BytecodeFunction& function = image_.functions[frame->function];
+    code = function.code.data();
+    code_size = function.code.size();
+    text_base = static_cast<uint32_t>(function.text_offset);
+    if constexpr (kProfiling) {
+      frame_component = function_component_[frame->function];
+    }
+  };
+  if (!trapped_) {
+    load_frame();
+  }
+
+  while (!trapped_) {
+    if (frame->pc < 0 || static_cast<size_t>(frame->pc) >= code_size) {
+      Trap("pc out of range in " + image_.functions[frame->function].name);
       break;
     }
-    const Insn insn = function.code[frame.pc];
+    const Insn insn = code[frame->pc];
     // Profiling snapshot: everything this iteration adds to the counters —
     // including the I-fetch below and any per-op costs inside the switch — is
     // attributed to the component of the executing frame, so per-component sums
@@ -622,17 +707,17 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
     int profile_comp = -1;
     long long profile_c0 = 0;
     long long profile_s0 = 0;
-    if (profiling_) {
-      profile_comp = function_component_[frame.function];
+    if constexpr (kProfiling) {
+      profile_comp = frame_component;
       profile_c0 = cycles_;
       profile_s0 = ifetch_stalls_;
     }
-    ICacheAccess(static_cast<uint32_t>(function.text_offset + frame.pc * 4));
-    ++frame.pc;
+    ICacheAccess(text_base + static_cast<uint32_t>(frame->pc) * 4);
+    ++frame->pc;
     ++insns_;
     cycles_ += cost_.base;
     if (insns_ > max_insns_) {
-      if (profiling_) {
+      if constexpr (kProfiling) {
         profile_cycles_[profile_comp] += cycles_ - profile_c0;
         profile_stalls_[profile_comp] += ifetch_stalls_ - profile_s0;
         ++profile_insns_[profile_comp];
@@ -652,10 +737,10 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         Trap("unresolved symbol reference executed (unlinked code)");
         break;
       case Op::kAddrLocal:
-        eval_.push_back(frame.fp + static_cast<uint32_t>(insn.a));
+        eval_.push_back(frame->fp + static_cast<uint32_t>(insn.a));
         break;
       case Op::kLoadLocal: {
-        uint32_t address = frame.fp + static_cast<uint32_t>(insn.a);
+        uint32_t address = frame->fp + static_cast<uint32_t>(insn.a);
         if (insn.b == 1) {
           eval_.push_back(ReadByte(address));
         } else {
@@ -664,13 +749,13 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         break;
       }
       case Op::kStoreLocal: {
-        if (eval_.size() <= frame.eval_base) {
+        if (eval_.size() <= frame->eval_base) {
           Trap("evaluation stack underflow");
           break;
         }
         uint32_t value = eval_.back();
         eval_.pop_back();
-        uint32_t address = frame.fp + static_cast<uint32_t>(insn.a);
+        uint32_t address = frame->fp + static_cast<uint32_t>(insn.a);
         if (insn.b == 1) {
           WriteByte(address, static_cast<uint8_t>(value & 0xFF));
         } else {
@@ -679,7 +764,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         break;
       }
       case Op::kLoadMem: {
-        if (eval_.size() <= frame.eval_base) {
+        if (eval_.size() <= frame->eval_base) {
           Trap("evaluation stack underflow");
           break;
         }
@@ -694,7 +779,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         break;
       }
       case Op::kStoreMem: {
-        if (eval_.size() < frame.eval_base + 2) {
+        if (eval_.size() < frame->eval_base + 2) {
           Trap("evaluation stack underflow");
           break;
         }
@@ -711,21 +796,21 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         break;
       }
       case Op::kDup:
-        if (eval_.size() <= frame.eval_base) {
+        if (eval_.size() <= frame->eval_base) {
           Trap("evaluation stack underflow");
           break;
         }
         eval_.push_back(eval_.back());
         break;
       case Op::kPop:
-        if (eval_.size() <= frame.eval_base) {
+        if (eval_.size() <= frame->eval_base) {
           Trap("evaluation stack underflow");
           break;
         }
         eval_.pop_back();
         break;
       case Op::kSwap:
-        if (eval_.size() < frame.eval_base + 2) {
+        if (eval_.size() < frame->eval_base + 2) {
           Trap("evaluation stack underflow");
           break;
         }
@@ -735,7 +820,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
       case Op::kBitNot:
       case Op::kLogNot:
       case Op::kSext8:
-        if (eval_.size() <= frame.eval_base) {
+        if (eval_.size() <= frame->eval_base) {
           Trap("evaluation stack underflow");
           break;
         }
@@ -751,29 +836,29 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         }
         break;
       case Op::kJmp:
-        frame.pc = insn.a;
+        frame->pc = insn.a;
         break;
       case Op::kJz: {
-        if (eval_.size() <= frame.eval_base) {
+        if (eval_.size() <= frame->eval_base) {
           Trap("evaluation stack underflow");
           break;
         }
         uint32_t value = eval_.back();
         eval_.pop_back();
         if (value == 0) {
-          frame.pc = insn.a;
+          frame->pc = insn.a;
         }
         break;
       }
       case Op::kJnz: {
-        if (eval_.size() <= frame.eval_base) {
+        if (eval_.size() <= frame->eval_base) {
           Trap("evaluation stack underflow");
           break;
         }
         uint32_t value = eval_.back();
         eval_.pop_back();
         if (value != 0) {
-          frame.pc = insn.a;
+          frame->pc = insn.a;
         }
         break;
       }
@@ -795,7 +880,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
           // the slot's last target, so the steady-state cost of swappability is
           // call_overhead + mem_access + indirect_predicted per boundary call.
           cycles_ += cost_.call_overhead + cost_.mem_access;
-          auto [btb_it, btb_new] = btb_.try_emplace({frame.function, frame.pc - 1}, callable);
+          auto [btb_it, btb_new] = btb_.try_emplace({frame->function, frame->pc - 1}, callable);
           if (!btb_new && btb_it->second == callable) {
             cycles_ += cost_.indirect_predicted;
           } else {
@@ -803,7 +888,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
             cycles_ += cost_.indirect_call_overhead;
           }
         } else {
-          if (eval_.size() <= frame.eval_base) {
+          if (eval_.size() <= frame->eval_base) {
             Trap("evaluation stack underflow");
             break;
           }
@@ -814,7 +899,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
             break;
           }
           callable = DecodeFuncRef(ref);
-          auto [btb_it, btb_new] = btb_.try_emplace({frame.function, frame.pc - 1}, callable);
+          auto [btb_it, btb_new] = btb_.try_emplace({frame->function, frame->pc - 1}, callable);
           if (!btb_new && btb_it->second == callable) {
             cycles_ += cost_.indirect_predicted;
           } else {
@@ -824,17 +909,21 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         }
         int argc = CallArgc(insn.b);
         cycles_ += cost_.per_argument * argc;
-        if (eval_.size() < frame.eval_base + static_cast<size_t>(argc)) {
+        if (eval_.size() < frame->eval_base + static_cast<size_t>(argc)) {
           Trap("evaluation stack underflow at call");
           break;
         }
-        const uint32_t* args_begin = eval_.data() + (eval_.size() - argc);
+        size_t args_base = eval_.size() - argc;
         if (callable < 0) {
           Trap("call through unresolved or non-text symbol");
           break;
         }
         if (image_.IsNativeId(callable)) {
-          int native_index = callable - static_cast<int>(image_.functions.size());
+          size_t native_index = static_cast<size_t>(callable) - image_.functions.size();
+          if (native_index >= image_.natives.size()) {
+            Trap("call through unresolved or non-text symbol");
+            break;
+          }
           const std::string& native_name = image_.natives[native_index];
           uint32_t fault_value = 0;
           FaultAction action = CheckFault(native_name, &fault_value);
@@ -843,44 +932,54 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
             break;
           }
           if (action == FaultAction::kReturn) {
-            eval_.resize(eval_.size() - argc);
+            eval_.resize(args_base);
             if (CallReturns(insn.b)) {
               eval_.push_back(fault_value);
             }
             break;
           }
-          auto it = natives_.find(native_name);
-          if (it == natives_.end()) {
+          const NativeFn* native = NativeAt(native_index);
+          if (native == nullptr) {
             Trap("native '" + native_name + "' is not bound");
             break;
           }
-          std::vector<uint32_t> native_args(args_begin, args_begin + argc);
-          eval_.resize(eval_.size() - argc);
+          // The native may re-enter the machine and grow eval_, so it gets a
+          // copy of its arguments, never a view into the evaluation stack.
+          uint32_t inline_args[kInlineNativeArgs];
+          std::vector<uint32_t> wide_args;
+          uint32_t* native_args = inline_args;
+          if (argc > kInlineNativeArgs) {
+            wide_args.resize(argc);
+            native_args = wide_args.data();
+          }
+          std::copy(eval_.begin() + args_base, eval_.end(), native_args);
+          eval_.resize(args_base);
           cycles_ += cost_.native_cost;
-          if (profiling_) {
+          if constexpr (kProfiling) {
             ProfileCall(profile_comp, env_component_);
           }
-          uint32_t result = it->second(*this, native_args);
+          uint32_t result = (*native)(*this, std::span<const uint32_t>(native_args, argc));
           if (CallReturns(insn.b)) {
             eval_.push_back(result);
+          }
+          if (!trapped_) {
+            load_frame();
           }
           break;
         }
         uint32_t fault_value = 0;
         FaultAction action = CheckFault(image_.functions[callable].name, &fault_value);
         if (action == FaultAction::kReturn) {
-          eval_.resize(eval_.size() - argc);
+          eval_.resize(args_base);
           if (CallReturns(insn.b)) {
             eval_.push_back(fault_value);
           }
           break;
         }
-        std::vector<uint32_t> callee_args(args_begin, args_begin + argc);
-        eval_.resize(eval_.size() - argc);
-        if (!EnterFunction(callable, callee_args.data(), argc)) {
+        if (!EnterFunction<kProfiling>(callable, args_base)) {
           break;
         }
-        if (profiling_) {
+        if constexpr (kProfiling) {
           ProfileCall(profile_comp, function_component_[callable]);
         }
         if (action == FaultAction::kTrap) {
@@ -889,9 +988,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
           break;
         }
         // Mismatched value expectations are reconciled at the callee's kRet.
-        frames_.back().vararg_count = image_.functions[callable].variadic
-                                          ? argc - image_.functions[callable].param_count
-                                          : 0;
+        load_frame();
         break;
       }
       case Op::kRet: {
@@ -899,20 +996,20 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         uint32_t value = 0;
         bool has_value = insn.a != 0;
         if (has_value) {
-          if (eval_.size() <= frame.eval_base) {
+          if (eval_.size() <= frame->eval_base) {
             Trap("return with empty evaluation stack");
             break;
           }
           value = eval_.back();
         }
         // Discard the callee's leftover stack and frame.
-        eval_.resize(frame.eval_base);
-        stack_pointer_ = frame.saved_sp;
+        eval_.resize(frame->eval_base);
+        stack_pointer_ = frame->saved_sp;
         bool caller_exists = frames_.size() > base_frames + 1;
-        int caller_index = static_cast<int>(frames_.size()) - 2;
-        if (profiling_) {
+        if constexpr (kProfiling) {
           // Close the span if control moves to a different component (or the host).
-          int parent = caller_exists ? function_component_[frames_[caller_index].function] : -1;
+          int parent =
+              caller_exists ? function_component_[frames_[frames_.size() - 2].function] : -1;
           if (profile_comp != parent) {
             ProfileMark(profile_comp, false);
           }
@@ -928,15 +1025,15 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
         // The caller's kCall encoded whether it expects a value; we cannot see that
         // insn here cheaply, so push if the callee returns one — codegen keeps the
         // conventions consistent (kPop after calls whose results are unused).
-        (void)caller_index;
         if (has_value) {
           eval_.push_back(value);
         }
+        load_frame();
         break;
       }
       default: {
         // Binary ALU.
-        if (eval_.size() < frame.eval_base + 2) {
+        if (eval_.size() < frame->eval_base + 2) {
           Trap("evaluation stack underflow");
           break;
         }
@@ -1048,7 +1145,7 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
       }
     }
 
-    if (profiling_) {
+    if constexpr (kProfiling) {
       profile_cycles_[profile_comp] += cycles_ - profile_c0;
       profile_stalls_[profile_comp] += ifetch_stalls_ - profile_s0;
       ++profile_insns_[profile_comp];
@@ -1059,9 +1156,9 @@ RunResult Machine::CallId(int function_id, std::vector<uint32_t> args) {
     }
   }
 
-  // Trapped (or ran out of frames unexpectedly): unwind.
+  // Trapped: unwind.
   while (frames_.size() > base_frames) {
-    if (profiling_) {
+    if constexpr (kProfiling) {
       int comp = function_component_[frames_.back().function];
       int parent = frames_.size() > base_frames + 1
                        ? function_component_[frames_[frames_.size() - 2].function]

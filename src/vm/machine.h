@@ -26,8 +26,11 @@
 #define SRC_VM_MACHINE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,8 +62,10 @@ struct CostModel {
 class Machine;
 
 // A native (environment) callable. Receives the machine (for memory access) and the
-// popped argument values; returns the result (ignored for void uses).
-using NativeFn = std::function<uint32_t(Machine&, const std::vector<uint32_t>&)>;
+// popped argument values; returns the result (ignored for void uses). The span
+// views a copy the machine made for this call, so it stays valid even when the
+// native re-enters the machine; it does not outlive the call.
+using NativeFn = std::function<uint32_t(Machine&, std::span<const uint32_t>)>;
 
 // One forced failure: the Nth invocation of `function` (a VM function or a native,
 // by link name) is intercepted before its body runs. `trap` makes it trap the
@@ -104,7 +109,8 @@ struct FaultPlan {
 // and every call instruction whose caller and callee belong to different
 // components is counted as a boundary crossing. Profiling is an observer: cycle
 // counts, RunResults, and memory are bit-identical with profiling on or off, and
-// a profiling-off run pays nothing (one untaken branch per instruction).
+// a profiling-off run pays nothing: the interpreter loop is one body instantiated
+// twice, and a host Call picks the profiling or the plain instance on entry.
 // Pseudo-components: "<env>" (native/environment calls), "<init>" (the generated
 // knit__init/knit__fini driver), "<other>" (functions without attribution, e.g.
 // hand-assembled images).
@@ -197,12 +203,14 @@ class Machine {
   // Binds an implementation to a native name from the image. Unbound natives trap
   // when called. Built-ins (__sbrk, __putchar, __puthex, __cycles, __vararg,
   // __vararg_count, __abort, __trace, __alloc_note, __free_note) are pre-bound
-  // when present in the image.
+  // when present in the image. Rebinding takes effect at the next native call.
   void BindNative(const std::string& name, NativeFn fn);
 
-  // Calls a function by global symbol name or id. Runs to completion.
-  RunResult Call(const std::string& name, std::vector<uint32_t> args = {});
-  RunResult CallId(int function_id, std::vector<uint32_t> args = {});
+  // Calls a function by global symbol name or id. Runs to completion. The
+  // profiling mode is read once on entry and holds for the whole call: enabling
+  // or disabling profiling from inside a native affects the next host Call only.
+  RunResult Call(const std::string& name, const std::vector<uint32_t>& args = {});
+  RunResult CallId(int function_id, std::span<const uint32_t> args = {});
 
   // Counters.
   long long cycles() const { return cycles_; }
@@ -324,7 +332,16 @@ class Machine {
   FaultAction CheckFault(const std::string& function, uint32_t* value_out);
   bool CheckRange(uint32_t address, uint32_t size);
   void ICacheAccess(uint32_t text_address);
-  bool EnterFunction(int function_id, const uint32_t* args, int argc);
+  // Pushes a frame for `function_id` whose arguments are the evaluation-stack
+  // words from `args_base` to the top; pops them whether or not it succeeds.
+  template <bool kProfiling>
+  bool EnterFunction(int function_id, size_t args_base);
+  // The interpreter: runs until the frame pushed above `base_frames` returns or
+  // the machine traps. One body, instantiated with and without profiling.
+  template <bool kProfiling>
+  RunResult RunLoop(size_t base_frames);
+  // The binding for image().natives[index], or null when unbound.
+  const NativeFn* NativeAt(size_t index);
   void BindBuiltins();
 
   // Profiling helpers (only called when profiling_).
@@ -337,9 +354,16 @@ class Machine {
   int RequesterComponent() const;
   RunResult FinishRun(RunResult result);  // attach the profile snapshot if enabled
 
+  struct FreeDeleter {
+    void operator()(uint8_t* bytes) const { std::free(bytes); }
+  };
+
   const Image& image_;
   CostModel cost_;
-  std::vector<uint8_t> memory_;
+  // Guest memory comes from calloc: a large grant is fresh zero pages from the
+  // OS, so only pages the program touches cost time or resident memory.
+  std::unique_ptr<uint8_t[], FreeDeleter> memory_;
+  uint32_t memory_size_;
   uint32_t heap_end_;
   uint32_t stack_pointer_;
 
@@ -347,6 +371,9 @@ class Machine {
   std::vector<Frame> frames_;
 
   std::map<std::string, NativeFn> natives_;
+  // Dense native-index -> binding table over natives_, built on the first native
+  // call and cleared by BindNative and RefreshAfterImageGrowth.
+  std::vector<const NativeFn*> native_table_;
   std::string console_;
 
   long long cycles_ = 0;
@@ -394,6 +421,14 @@ class Machine {
   std::vector<CacheWay> icache_;
   int icache_sets_ = 0;
   uint64_t icache_clock_ = 0;
+  // Shift/mask indexing when both the line size and the set count are powers
+  // of two (icache_pow2_); divides otherwise.
+  bool icache_pow2_ = false;
+  int icache_line_shift_ = 0;
+  int icache_set_shift_ = 0;
+  // The line of the previous fetch. Refetching it is a hit that changes nothing
+  // (see ICacheAccess), so it skips the set walk; -1 before the first fetch.
+  int64_t icache_last_line_ = -1;
 
   // Branch target buffer for indirect calls: (function id, pc) -> last target.
   std::map<std::pair<int, int>, int> btb_;

@@ -163,7 +163,7 @@ TEST(Clack, TtlIsActuallyDecremented) {
   uint8_t ttl_in = trace[0].frame[14 + 8];
   std::vector<uint8_t> tx_frame;
   program.value().machine().BindNative(
-      EnvSymbol("dev", "dev_tx"), [&](Machine& m, const std::vector<uint32_t>& args) {
+      EnvSymbol("dev", "dev_tx"), [&](Machine& m, std::span<const uint32_t> args) {
         tx_frame.clear();
         for (uint32_t i = 0; i < args[1]; ++i) {
           tx_frame.push_back(m.ReadByte(args[0] + i));

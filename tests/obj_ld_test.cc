@@ -206,7 +206,7 @@ TEST(Linker, NativesResolveRemainingUndefineds) {
   Result<LinkResult> linked = TryLink(std::move(items), &error, {"host_fn"});
   ASSERT_TRUE(linked.ok()) << error;
   Machine machine(linked.value().image);
-  machine.BindNative("host_fn", [](Machine&, const std::vector<uint32_t>& args) {
+  machine.BindNative("host_fn", [](Machine&, std::span<const uint32_t> args) {
     return args[0] + 100;
   });
   EXPECT_EQ(machine.Call("f", {5}).value, 210u);

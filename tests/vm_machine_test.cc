@@ -251,7 +251,7 @@ TEST(Machine, FaultPlanAppliesToNatives) {
       false, {"ping"});
   ASSERT_TRUE(program.ok());
   program.machine->BindNative(
-      "ping", [](Machine&, const std::vector<uint32_t>&) { return 1u; });
+      "ping", [](Machine&, std::span<const uint32_t>) { return 1u; });
   EXPECT_EQ(program.machine->Call("f").value, 2u);
 
   FaultPlan trap_plan;
@@ -309,7 +309,7 @@ struct QuiescenceProbe {
 void BindProbe(TestProgram& program, QuiescenceProbe& probe) {
   QuiescenceProbe* raw = &probe;
   program.machine->BindNative(
-      "probe", [raw](Machine& machine, const std::vector<uint32_t>&) {
+      "probe", [raw](Machine& machine, std::span<const uint32_t>) {
         raw->a_quiescent = machine.ComponentQuiescent("A");
         raw->b_quiescent = machine.ComponentQuiescent("B");
         raw->frame_depth = machine.FrameDepth();
@@ -365,7 +365,7 @@ TEST(Machine, ComponentQuiescentSeesCallerFramesAfterCalleeReturns) {
 
   std::vector<std::pair<bool, bool>> observations;  // (A quiescent, B quiescent)
   program.machine->BindNative(
-      "probe", [&observations](Machine& machine, const std::vector<uint32_t>&) {
+      "probe", [&observations](Machine& machine, std::span<const uint32_t>) {
         observations.emplace_back(machine.ComponentQuiescent("A"),
                                   machine.ComponentQuiescent("B"));
         return 0u;
