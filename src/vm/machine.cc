@@ -88,7 +88,11 @@ Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
   stack_pointer_ = memory_bytes;
   eval_.reserve(kEvalReserve);
 
-  icache_sets_ = cost_.icache_bytes / (cost_.icache_line * cost_.icache_ways);
+  // A degenerate geometry still models a cache: at least one line of one byte
+  // per way and one way, and a cache smaller than one set of lines has one set.
+  cost_.icache_line = std::max(1, cost_.icache_line);
+  cost_.icache_ways = std::max(1, cost_.icache_ways);
+  icache_sets_ = std::max(1, cost_.icache_bytes / (cost_.icache_line * cost_.icache_ways));
   icache_.assign(static_cast<size_t>(icache_sets_) * cost_.icache_ways, CacheWay{});
   icache_pow2_ = std::has_single_bit(static_cast<unsigned>(cost_.icache_line)) &&
                  std::has_single_bit(static_cast<unsigned>(icache_sets_));

@@ -53,6 +53,8 @@ struct CostModel {
   long long ret_overhead = 4;
   long long native_cost = 5;
 
+  // L1I geometry. Line size and associativity are clamped to at least 1, and a
+  // cache smaller than one set of lines has one set.
   int icache_bytes = 8192;
   int icache_line = 32;
   int icache_ways = 4;

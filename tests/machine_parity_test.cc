@@ -84,5 +84,21 @@ TEST(ICacheGeometry, ClackRouterO2CountersArePinned) {
   }
 }
 
+// A cache smaller than one set of lines (icache_bytes < icache_line * ways) is
+// clamped to one set, so it behaves exactly like the one-set cache of the same
+// line size and associativity, on the shift/mask path and on the divide path.
+TEST(ICacheGeometry, CacheSmallerThanOneSetHasOneSet) {
+  std::vector<TracePacket> trace = FixedTrace();
+  for (int line : {32, 24}) {
+    SCOPED_TRACE("line " + std::to_string(line));
+    Counters tiny = RunCounters("ClackRouter", 2, Geometry(line, line, 4), trace);
+    Counters one_set = RunCounters("ClackRouter", 2, Geometry(line * 4, line, 4), trace);
+    EXPECT_GT(tiny.ifetch_stalls, 0);
+    EXPECT_EQ(tiny.cycles, one_set.cycles);
+    EXPECT_EQ(tiny.ifetch_stalls, one_set.ifetch_stalls);
+    EXPECT_EQ(tiny.insns, one_set.insns);
+  }
+}
+
 }  // namespace
 }  // namespace knit
