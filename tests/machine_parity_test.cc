@@ -100,5 +100,95 @@ TEST(ICacheGeometry, CacheSmallerThanOneSetHasOneSet) {
   }
 }
 
+// ---- loop-instance parity ---------------------------------------------------
+
+enum class Mode { kPlain, kProfiled, kInertFaultPlan };
+
+struct LoopRun {
+  Counters counters;
+  RouterStats stats;  // tx hash plus the values the stats exports returned
+  ComponentProfile profile;
+};
+
+LoopRun RunMode(KnitPipeline& pipeline, const std::string& top, Mode mode,
+                const std::vector<TracePacket>& trace) {
+  Diagnostics diags;
+  Result<RouterProgram> program = RouterProgram::FromClack(pipeline, top, diags);
+  EXPECT_TRUE(program.ok()) << diags.ToString();
+  LoopRun run;
+  if (!program.ok()) {
+    return run;
+  }
+  Machine& machine = program.value().machine();
+  if (mode == Mode::kProfiled) {
+    machine.EnableProfiling(0);
+  }
+  if (mode == Mode::kInertFaultPlan) {
+    FaultPlan plan;
+    plan.injections.push_back(FaultInjection{"no_such_function", 1, /*trap=*/true, 0});
+    machine.set_fault_plan(plan);
+  }
+  machine.ResetCounters();
+  RouterSession& session = program.value().session();
+  EXPECT_TRUE(session.FeedRange(trace, 0, trace.size(), diags).ok()) << diags.ToString();
+  run.counters = Counters{machine.cycles(), machine.ifetch_stalls(), machine.insns()};
+  run.profile = machine.Profile(false);
+  Result<RouterStats> stats = session.Snapshot(diags);
+  EXPECT_TRUE(stats.ok()) << diags.ToString();
+  if (stats.ok()) {
+    run.stats = stats.value();
+  }
+  return run;
+}
+
+void ExpectSameRun(const LoopRun& a, const LoopRun& b) {
+  EXPECT_EQ(a.counters.cycles, b.counters.cycles);
+  EXPECT_EQ(a.counters.ifetch_stalls, b.counters.ifetch_stalls);
+  EXPECT_EQ(a.counters.insns, b.counters.insns);
+  EXPECT_EQ(a.stats.tx_hash, b.stats.tx_hash);
+  EXPECT_EQ(a.stats.tx_count, b.stats.tx_count);
+  EXPECT_EQ(a.stats.in0, b.stats.in0);
+  EXPECT_EQ(a.stats.in1, b.stats.in1);
+  EXPECT_EQ(a.stats.ip, b.stats.ip);
+  EXPECT_EQ(a.stats.out, b.stats.out);
+  EXPECT_EQ(a.stats.drop, b.stats.drop);
+}
+
+// Every Clack configuration at every -O level runs through both interpreter
+// instances (profiling off and on) and, with an inert fault plan installed,
+// through the fault-checking call path: all three runs must agree to the
+// cycle, and the profiled run's attribution must sum to the counters exactly.
+TEST(LoopParity, ProfilingAndInertFaultPlanChangeNothing) {
+  TraceOptions trace_options;
+  trace_options.count = 64;
+  std::vector<TracePacket> trace = GenerateTrace(trace_options);
+  for (const char* top :
+       {"ClackRouter", "ClackRouterFlat", "HandRouter", "HandRouterFlat", "ClackAllocRouter"}) {
+    for (int opt_level : {0, 1, 2}) {
+      SCOPED_TRACE(std::string(top) + " -O" + std::to_string(opt_level));
+      KnitcOptions options;
+      options.opt_level = opt_level;
+      KnitPipeline pipeline(options);
+      LoopRun plain = RunMode(pipeline, top, Mode::kPlain, trace);
+      LoopRun profiled = RunMode(pipeline, top, Mode::kProfiled, trace);
+      LoopRun faulted = RunMode(pipeline, top, Mode::kInertFaultPlan, trace);
+      ASSERT_GT(plain.stats.tx_count, 0u);
+      ExpectSameRun(plain, profiled);
+      ExpectSameRun(plain, faulted);
+
+      EXPECT_TRUE(plain.profile.components.empty());
+      long long cycles = 0, stalls = 0, insns = 0;
+      for (const ComponentProfileEntry& entry : profiled.profile.components) {
+        cycles += entry.cycles;
+        stalls += entry.ifetch_stalls;
+        insns += entry.insns;
+      }
+      EXPECT_EQ(cycles, plain.counters.cycles);
+      EXPECT_EQ(stalls, plain.counters.ifetch_stalls);
+      EXPECT_EQ(insns, plain.counters.insns);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace knit
