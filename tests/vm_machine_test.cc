@@ -433,5 +433,60 @@ TEST(Machine, ConsoleCapture) {
   EXPECT_EQ(program.machine->console(), "");
 }
 
+// ---- natives re-entering the machine ------------------------------------------
+// A native receives a copy of its arguments, and the interpreter reloads its
+// cached frame state after every call, so a native may run arbitrarily deep
+// nested Calls (growing the frame and evaluation stacks past their reserved
+// size, which reallocates them) and still read its own arguments afterwards.
+
+TEST(Machine, NativeReenteringDeeplyKeepsItsArgumentsAndTheCallerFrame) {
+  TestProgram program = BuildProgram(
+      "extern int host(int a, int b, int c);\n"
+      // `n +` stays on the evaluation stack across the recursive call, so depth
+      // N keeps N words live there, and N frames on the frame stack.
+      "int deep(int n) { if (n == 0) { return 0; } return n + deep(n - 1); }\n"
+      "int f(int x) { int local = x * 7; return host(x, x + 1, x + 2) + local; }\n",
+      false, {"host"});
+  ASSERT_TRUE(program.ok()) << program.error;
+  constexpr uint32_t kDepth = 20000;
+  uint32_t nested_value = 0;
+  size_t nested_frames = 0;
+  program.machine->BindNative(
+      "host", [&](Machine& machine, std::span<const uint32_t> args) -> uint32_t {
+        nested_frames = machine.FrameDepth();
+        RunResult nested = machine.Call("deep", {kDepth});
+        EXPECT_TRUE(nested.ok) << nested.error;
+        nested_value = nested.value;
+        // Read only after the nested run: a view into the evaluation stack
+        // would dangle here.
+        EXPECT_EQ(args.size(), 3u);
+        return args[0] * 100 + args[1] * 10 + args[2];
+      });
+  EXPECT_EQ(program.Run("f", {3}), 345u + 21u);
+  EXPECT_EQ(nested_frames, 1u);
+  EXPECT_EQ(nested_value, kDepth * (kDepth + 1) / 2);
+  EXPECT_EQ(program.machine->FrameDepth(), 0u);
+  EXPECT_EQ(program.machine->EvalDepth(), 0u);
+}
+
+TEST(Machine, BindNativeTakesEffectAtTheNextCall) {
+  TestProgram program = BuildProgram(
+      "extern int ping(int x);\n"
+      "int f(int x) { return ping(x) + ping(x); }\n",
+      false, {"ping"});
+  ASSERT_TRUE(program.ok()) << program.error;
+  RunResult unbound = program.machine->Call("f", {5});
+  ASSERT_FALSE(unbound.ok);
+  EXPECT_NE(unbound.error.find("native 'ping' is not bound"), std::string::npos)
+      << unbound.error;
+
+  program.machine->BindNative("ping",
+                              [](Machine&, std::span<const uint32_t> args) { return args[0]; });
+  EXPECT_EQ(program.Run("f", {5}), 10u);
+  program.machine->BindNative(
+      "ping", [](Machine&, std::span<const uint32_t> args) { return args[0] * 100; });
+  EXPECT_EQ(program.Run("f", {5}), 1000u);
+}
+
 }  // namespace
 }  // namespace knit
