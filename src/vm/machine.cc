@@ -88,8 +88,8 @@ Machine::Machine(const Image& image, CostModel cost, uint32_t memory_bytes)
   stack_pointer_ = memory_bytes;
   eval_.reserve(kEvalReserve);
 
-  // A degenerate geometry still models a cache: at least one line of one byte
-  // per way and one way, and a cache smaller than one set of lines has one set.
+  // A degenerate geometry still models a cache: line size and associativity are
+  // at least 1, and a cache smaller than one set of lines has one set.
   cost_.icache_line = std::max(1, cost_.icache_line);
   cost_.icache_ways = std::max(1, cost_.icache_ways);
   icache_sets_ = std::max(1, cost_.icache_bytes / (cost_.icache_line * cost_.icache_ways));
