@@ -694,9 +694,7 @@ RunResult Machine::RunLoop(size_t base_frames) {
       frame_component = function_component_[frame->function];
     }
   };
-  if (!trapped_) {
-    load_frame();
-  }
+  load_frame();
 
   while (!trapped_) {
     if (frame->pc < 0 || static_cast<size_t>(frame->pc) >= code_size) {
@@ -966,9 +964,7 @@ RunResult Machine::RunLoop(size_t base_frames) {
           if (CallReturns(insn.b)) {
             eval_.push_back(result);
           }
-          if (!trapped_) {
-            load_frame();
-          }
+          load_frame();
           break;
         }
         uint32_t fault_value = 0;
