@@ -603,7 +603,7 @@ bool Machine::EnterFunction(int function_id, size_t args_base) {
   frame.pc = 0;
   frame.fp = stack_pointer_;
   frame.eval_base = args_base;
-  frame.vararg_count = extras;
+  frame.vararg_count = function.variadic ? extras : 0;
   frame.vararg_base = frame.fp + static_cast<uint32_t>(function.frame_size);
   // Copy fixed params into the first slots and varargs after the static frame,
   // straight off the evaluation stack, then pop them.
@@ -611,7 +611,7 @@ bool Machine::EnterFunction(int function_id, size_t args_base) {
   for (int i = 0; i < fixed; ++i) {
     WriteWord(frame.fp + static_cast<uint32_t>(i) * 4, args[i]);
   }
-  for (int i = 0; i < extras; ++i) {
+  for (int i = 0; i < frame.vararg_count; ++i) {
     WriteWord(frame.vararg_base + static_cast<uint32_t>(i) * 4, args[fixed + i]);
   }
   eval_.resize(args_base);

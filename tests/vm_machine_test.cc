@@ -488,5 +488,15 @@ TEST(Machine, BindNativeTakesEffectAtTheNextCall) {
   EXPECT_EQ(program.Run("f", {5}), 1000u);
 }
 
+TEST(Machine, ExtraArgumentsToAFixedArityFunctionAreNotVarargs) {
+  TestProgram program = BuildProgram(
+      "extern int __vararg_count(void);\n"
+      "int f(int x) { return __vararg_count() * 100 + x; }\n",
+      false);
+  ASSERT_TRUE(program.ok()) << program.error;
+  EXPECT_EQ(program.Run("f", {7, 8, 9}), 7u);
+  EXPECT_EQ(program.machine->EvalDepth(), 0u);
+}
+
 }  // namespace
 }  // namespace knit
