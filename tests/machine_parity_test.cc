@@ -4,6 +4,9 @@
 //  - ICacheGeometry pins cycles / I-fetch stalls / instructions of a fixed trace
 //    under power-of-two and non-power-of-two cache geometries, so both the
 //    shift/mask and the divide indexing paths are held to exact values;
+//  - BoundCalls pins the counters and tx hash of a swappable build, whose
+//    cross-component calls all resolve through the branch target buffer, with
+//    and without a hot swap mid-trace (a swap clears the BTB);
 //  - LoopParity runs every Clack configuration with profiling off and on, and
 //    with an inert fault plan, and requires identical results from each.
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include "src/clack/corpus.h"
 #include "src/clack/harness.h"
 #include "src/clack/trace.h"
+#include "src/reconfig/reconfig.h"
 
 namespace knit {
 namespace {
@@ -98,6 +102,78 @@ TEST(ICacheGeometry, CacheSmallerThanOneSetHasOneSet) {
     EXPECT_EQ(tiny.ifetch_stalls, one_set.ifetch_stalls);
     EXPECT_EQ(tiny.insns, one_set.insns);
   }
+}
+
+// ---- bound calls through the BTB ----------------------------------------------
+
+struct BoundRun {
+  Counters counters;
+  uint64_t tx_hash = 0;
+  bool swapped = false;
+};
+
+// ClackRouter -O1 built --swappable=*, so every cross-component call is a bound
+// call that the BTB predicts. With `swap_after` >= 0, the second instance is
+// hot-swapped with a fresh copy of its own source after that packet: the swap
+// clears the BTB, so each call site pays one miss again.
+BoundRun RunSwappable(const std::vector<TracePacket>& trace, int swap_after) {
+  KnitcOptions options;
+  options.opt_level = 1;
+  options.swappable = {"*"};
+  Diagnostics diags;
+  KnitPipeline pipeline(options);
+  Result<RouterProgram> built = RouterProgram::FromClack(pipeline, "ClackRouter", diags);
+  EXPECT_TRUE(built.ok()) << diags.ToString();
+  BoundRun run;
+  if (!built.ok()) {
+    return run;
+  }
+  RouterProgram& program = built.value();
+  ReconfigEngine engine(*program.mutable_build(), program.machine(), ClackSources());
+  program.SetPacketHook([&](int packet) {
+    if (packet != swap_after) {
+      return;
+    }
+    const Instance& instance = program.build()->config.instances[1];
+    SwapSpec spec;
+    spec.instance = instance.path;
+    spec.source_name = instance.unit->files[0];
+    spec.source = ClackSources().at(spec.source_name);
+    SwapReport report = engine.Request(spec);
+    EXPECT_TRUE(report.ok) << instance.path << ": " << report.error;
+    run.swapped = report.ok;
+  });
+  Machine& machine = program.machine();
+  machine.ResetCounters();
+  RouterSession& session = program.session();
+  EXPECT_TRUE(session.FeedRange(trace, 0, trace.size(), diags).ok()) << diags.ToString();
+  run.counters = Counters{machine.cycles(), machine.ifetch_stalls(), machine.insns()};
+  Result<RouterStats> stats = session.Snapshot(diags);
+  EXPECT_TRUE(stats.ok()) << diags.ToString();
+  if (stats.ok()) {
+    run.tx_hash = stats.value().tx_hash;
+  }
+  return run;
+}
+
+TEST(BoundCalls, SwappableClackRouterO1CountersArePinned) {
+  BoundRun run = RunSwappable(FixedTrace(), -1);
+  EXPECT_EQ(run.counters.cycles, 441586);
+  EXPECT_EQ(run.counters.ifetch_stalls, 1488);
+  EXPECT_EQ(run.counters.insns, 332461);
+  EXPECT_EQ(run.tx_hash, 5274274457501469302ull);
+}
+
+TEST(BoundCalls, HotSwapMidTraceCountersArePinned) {
+  BoundRun run = RunSwappable(FixedTrace(), 127);
+  EXPECT_TRUE(run.swapped);
+  // The same instructions and bytes as without the swap. The cycles differ by
+  // one I-cache miss on the new copy's text and by the BTB misses the swap
+  // makes each bound call site pay once more.
+  EXPECT_EQ(run.counters.cycles, 441918);
+  EXPECT_EQ(run.counters.ifetch_stalls, 1496);
+  EXPECT_EQ(run.counters.insns, 332461);
+  EXPECT_EQ(run.tx_hash, 5274274457501469302ull);
 }
 
 // ---- loop-instance parity ---------------------------------------------------
