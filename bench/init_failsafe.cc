@@ -24,10 +24,8 @@ struct InitCost {
 
 uint32_t WriteString(Machine& machine, const std::string& text) {
   uint32_t address = machine.Sbrk(static_cast<uint32_t>(text.size()) + 1);
-  for (size_t i = 0; i < text.size(); ++i) {
-    machine.WriteByte(address + static_cast<uint32_t>(i), static_cast<uint8_t>(text[i]));
-  }
-  machine.WriteByte(address + static_cast<uint32_t>(text.size()), 0);
+  // The string with its terminating NUL.
+  machine.WriteBytes(address, {reinterpret_cast<const uint8_t*>(text.c_str()), text.size() + 1});
   return address;
 }
 

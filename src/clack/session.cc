@@ -1,5 +1,7 @@
 #include "src/clack/session.h"
 
+#include <algorithm>
+
 namespace knit {
 
 namespace {
@@ -55,8 +57,17 @@ Result<std::unique_ptr<RouterSession>> RouterSession::Open(
     digest = FnvMix(digest, static_cast<uint8_t>(port));
     digest = FnvMix(digest, static_cast<uint8_t>(len & 0xFF));
     digest = FnvMix(digest, static_cast<uint8_t>((len >> 8) & 0xFF));
-    for (uint32_t i = 0; i < len && i < kFrameCapacity; ++i) {
-      digest = FnvMix(digest, m.ReadByte(data + i));
+    uint32_t size = std::min(len, kFrameCapacity);
+    std::span<const uint8_t> bytes = m.ByteView(data, size);
+    if (bytes.size() == size) {
+      for (uint8_t byte : bytes) {
+        digest = FnvMix(digest, byte);
+      }
+    } else {
+      // A bad range traps at its first bad byte, exactly as byte reads do.
+      for (uint32_t i = 0; i < size; ++i) {
+        digest = FnvMix(digest, m.ReadByte(data + i));
+      }
     }
     accum->packet_digest = digest;
     return 0u;
@@ -95,9 +106,7 @@ Result<void> RouterSession::FeedBatch(const TracePacket* const* packets,
       diags.Error(SourceLoc::Unknown(), "trace frame exceeds buffer capacity");
       return Result<void>::Failure();
     }
-    for (size_t i = 0; i < packet.frame.size(); ++i) {
-      machine_->WriteByte(frame_addr_ + static_cast<uint32_t>(i), packet.frame[i]);
-    }
+    machine_->WriteBytes(frame_addr_, packet.frame);
     // struct pkt { char *data; int len; int port; unsigned nexthop; }
     machine_->WriteWord(pkt_struct_addr_ + 0, frame_addr_);
     machine_->WriteWord(pkt_struct_addr_ + 4, static_cast<uint32_t>(packet.frame.size()));

@@ -186,9 +186,7 @@ SwapReport ReconfigEngine::Execute(const SwapSpec& spec, int deferred_packets) {
       report.error = "heap exhausted placing replacement data";
       return finish(report);
     }
-    for (size_t i = 0; i < object.data.size(); ++i) {
-      machine_.WriteByte(data_base + static_cast<uint32_t>(i), object.data[i]);
-    }
+    machine_.WriteBytes(data_base, object.data);
   }
 
   image.functions.insert(image.functions.end(), object.functions.begin(),

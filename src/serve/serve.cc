@@ -129,7 +129,8 @@ Result<std::unique_ptr<RouterFleet>> RouterFleet::FromBuild(
       shard->machine->set_max_insns(options.fuel);
     }
     if (options.profile) {
-      shard->machine->EnableProfiling();
+      // Counters only: MergeProfiles keeps no events, so a shard logs none.
+      shard->machine->EnableProfiling(0);
     }
     Result<std::unique_ptr<RouterSession>> session =
         RouterSession::Open(*shard->machine, entry_names, dev_native, diags);

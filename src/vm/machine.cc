@@ -199,7 +199,7 @@ void Machine::ResetProfile() {
   profile_live_.assign(profile_components_.size(), 0);
   profile_live_peak_.assign(profile_components_.size(), 0);
   profile_fn_calls_.assign(image_.functions.size(), 0);
-  profile_edges_.clear();
+  profile_edges_.assign(profile_components_.size() * profile_components_.size(), 0);
   profile_events_.clear();
   profile_events_truncated_ = false;
 }
@@ -208,10 +208,14 @@ void Machine::ProfileCall(int caller_component, int callee_component) {
   if (caller_component < 0) {
     return;  // host-initiated call: there is no caller bucket
   }
-  ++profile_edges_[{caller_component, callee_component}];
+  ++profile_edges_[static_cast<size_t>(caller_component) * profile_components_.size() +
+                   static_cast<size_t>(callee_component)];
 }
 
 void Machine::ProfileMark(int component, bool begin) {
+  if (max_profile_events_ == 0) {
+    return;  // counters only
+  }
   if (profile_events_.size() >= max_profile_events_) {
     profile_events_truncated_ = true;
     return;
@@ -228,14 +232,20 @@ ComponentProfile Machine::Profile(bool include_events) const {
   out.component_names = profile_components_;
   std::vector<long long> calls_in(count, 0);
   std::vector<long long> calls_out(count, 0);
-  for (const auto& [edge, calls] : profile_edges_) {
-    if (edge.first != edge.second) {
-      calls_out[edge.first] += calls;
-      calls_in[edge.second] += calls;
-      out.boundary_calls += calls;
+  for (size_t caller = 0; caller < count; ++caller) {
+    for (size_t callee = 0; callee < count; ++callee) {
+      long long calls = profile_edges_[caller * count + callee];
+      if (calls == 0) {
+        continue;
+      }
+      if (caller != callee) {
+        calls_out[caller] += calls;
+        calls_in[callee] += calls;
+        out.boundary_calls += calls;
+      }
+      out.edges.push_back(
+          BoundaryEdge{profile_components_[caller], profile_components_[callee], calls});
     }
-    out.edges.push_back(
-        BoundaryEdge{profile_components_[edge.first], profile_components_[edge.second], calls});
   }
   std::sort(out.edges.begin(), out.edges.end(), [](const BoundaryEdge& a, const BoundaryEdge& b) {
     if (a.calls != b.calls) {
@@ -296,13 +306,6 @@ ComponentProfile Machine::Profile(bool include_events) const {
   return out;
 }
 
-RunResult Machine::FinishRun(RunResult result) {
-  if (profiling_) {
-    result.profile = Profile(false);
-  }
-  return result;
-}
-
 void Machine::Trap(const std::string& message) {
   if (!trapped_) {
     trapped_ = true;
@@ -351,6 +354,10 @@ Machine::FaultAction Machine::CheckFault(const std::string& function, uint32_t* 
   return FaultAction::kNone;
 }
 
+bool Machine::InRange(uint32_t address, size_t size) const {
+  return address >= kNullGuard && static_cast<uint64_t>(address) + size <= memory_size_;
+}
+
 bool Machine::CheckRange(uint32_t address, uint32_t size) {
   if (address < kNullGuard) {
     Trap("null/guard-page dereference at address " + std::to_string(address));
@@ -395,6 +402,24 @@ void Machine::WriteByte(uint32_t address, uint8_t value) {
     return;
   }
   memory_[address] = value;
+}
+
+void Machine::WriteBytes(uint32_t address, std::span<const uint8_t> bytes) {
+  if (InRange(address, bytes.size())) {
+    std::memcpy(memory_.get() + address, bytes.data(), bytes.size());
+    return;
+  }
+  // Byte by byte, so the trap names the first bad address as WriteByte does.
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    WriteByte(address + static_cast<uint32_t>(i), bytes[i]);
+  }
+}
+
+std::span<const uint8_t> Machine::ByteView(uint32_t address, uint32_t size) const {
+  if (!InRange(address, size)) {
+    return {};
+  }
+  return {memory_.get() + address, size};
 }
 
 std::string Machine::ReadCString(uint32_t address, uint32_t max_length) {
@@ -498,9 +523,10 @@ void Machine::RecoverNestedTrap(size_t eval_depth) {
   trapped_ = false;
   trap_message_.clear();
   trap_backtrace_.clear();
-  // The trap unwind restored stack_pointer_ per popped frame but leaves whatever
-  // the dead frames pushed on the evaluation stack; drop it so the interrupted
-  // outer frame resumes with exactly the stack it had.
+  // The trap unwind already cut the evaluation stack back to where the nested
+  // call began; cutting to the captured depth also drops anything pushed after
+  // the capture, so the interrupted outer frame resumes with exactly the stack
+  // it had.
   if (eval_.size() > eval_depth) {
     eval_.resize(eval_depth);
   }
@@ -516,6 +542,7 @@ void Machine::RefreshAfterImageGrowth() {
   }
   // Extend (never reset) the attribution tables: new functions get component ids,
   // new components get zeroed buckets, accumulated attribution is preserved.
+  const size_t old_count = profile_components_.size();
   std::map<std::string, int> ids;
   for (size_t c = 0; c < profile_components_.size(); ++c) {
     ids.emplace(profile_components_[c], static_cast<int>(c));
@@ -539,6 +566,26 @@ void Machine::RefreshAfterImageGrowth() {
     function_component_.push_back(intern(component.empty() ? "<other>" : component));
   }
   profile_fn_calls_.resize(image_.functions.size(), 0);
+  const size_t count = profile_components_.size();
+  if (count != old_count) {
+    std::vector<long long> edges(count * count, 0);
+    for (size_t caller = 0; caller < old_count; ++caller) {
+      std::copy_n(profile_edges_.begin() + static_cast<ptrdiff_t>(caller * old_count), old_count,
+                  edges.begin() + static_cast<ptrdiff_t>(caller * count));
+    }
+    profile_edges_ = std::move(edges);
+  }
+}
+
+int& Machine::BtbSlot(int function, int pc) {
+  if (static_cast<size_t>(function) >= btb_.size()) {
+    btb_.resize(image_.functions.size());
+  }
+  std::vector<int>& row = btb_[function];
+  if (static_cast<size_t>(pc) >= row.size()) {
+    row.resize(image_.functions[function].code.size(), kBtbEmpty);
+  }
+  return row[pc];
 }
 
 void Machine::ICacheAccess(uint32_t text_address) {
@@ -632,7 +679,7 @@ bool Machine::EnterFunction(int function_id, size_t args_base) {
 RunResult Machine::Call(const std::string& name, const std::vector<uint32_t>& args) {
   int id = image_.FindFunction(name);
   if (id < 0) {
-    return RunResult{false, 0, "no such function: " + name, {}, {}};
+    return RunResult{false, 0, "no such function: " + name, {}};
   }
   return CallId(id, args);
 }
@@ -644,12 +691,12 @@ RunResult Machine::CallId(int function_id, std::span<const uint32_t> args) {
   size_t base_frames = frames_.size();
 
   if (function_id < 0 || function_id >= static_cast<int>(image_.functions.size())) {
-    return RunResult{false, 0, "bad function id", {}, {}};
+    return RunResult{false, 0, "bad function id", {}};
   }
   uint32_t injected = 0;
   FaultAction action = CheckFault(image_.functions[function_id].name, &injected);
   if (action == FaultAction::kReturn) {
-    return FinishRun(RunResult{true, injected, "", {}, {}});
+    return RunResult{true, injected, "", {}};
   }
   // The profiling mode is fixed here for the whole call (see machine.h).
   const bool profiling = profiling_;
@@ -658,7 +705,7 @@ RunResult Machine::CallId(int function_id, std::span<const uint32_t> args) {
   bool entered = profiling ? EnterFunction<true>(function_id, args_base)
                            : EnterFunction<false>(function_id, args_base);
   if (!entered) {
-    return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
+    return RunResult{false, 0, TrapError(), trap_backtrace_};
   }
   if (action == FaultAction::kTrap) {
     // Trap inside the callee's frame so the backtrace names it.
@@ -882,13 +929,6 @@ RunResult Machine::RunLoop(size_t base_frames) {
           // the slot's last target, so the steady-state cost of swappability is
           // call_overhead + mem_access + indirect_predicted per boundary call.
           cycles_ += cost_.call_overhead + cost_.mem_access;
-          auto [btb_it, btb_new] = btb_.try_emplace({frame->function, frame->pc - 1}, callable);
-          if (!btb_new && btb_it->second == callable) {
-            cycles_ += cost_.indirect_predicted;
-          } else {
-            btb_it->second = callable;
-            cycles_ += cost_.indirect_call_overhead;
-          }
         } else {
           if (eval_.size() <= frame->eval_base) {
             Trap("evaluation stack underflow");
@@ -901,11 +941,13 @@ RunResult Machine::RunLoop(size_t base_frames) {
             break;
           }
           callable = DecodeFuncRef(ref);
-          auto [btb_it, btb_new] = btb_.try_emplace({frame->function, frame->pc - 1}, callable);
-          if (!btb_new && btb_it->second == callable) {
+        }
+        if (insn.op != Op::kCall) {
+          int& predicted = BtbSlot(frame->function, frame->pc - 1);
+          if (predicted == callable) {
             cycles_ += cost_.indirect_predicted;
           } else {
-            btb_it->second = callable;
+            predicted = callable;
             cycles_ += cost_.indirect_call_overhead;
           }
         }
@@ -1151,12 +1193,16 @@ RunResult Machine::RunLoop(size_t base_frames) {
       ++profile_insns_[profile_comp];
     }
     if (host_return) {
-      return FinishRun(RunResult{!trapped_, host_has_value ? host_value : 0, trap_message_,
-                                 trap_backtrace_, {}});
+      return RunResult{!trapped_, host_has_value ? host_value : 0, trap_message_,
+                       trap_backtrace_};
     }
   }
 
-  // Trapped: unwind.
+  // Trapped: unwind, dropping whatever the run's frames left on the evaluation
+  // stack, so the host sees it as it was before the call.
+  if (frames_.size() > base_frames) {
+    eval_.resize(frames_[base_frames].eval_base);
+  }
   while (frames_.size() > base_frames) {
     if constexpr (kProfiling) {
       int comp = function_component_[frames_.back().function];
@@ -1170,7 +1216,7 @@ RunResult Machine::RunLoop(size_t base_frames) {
     stack_pointer_ = frames_.back().saved_sp;
     frames_.pop_back();
   }
-  return FinishRun(RunResult{false, 0, TrapError(), trap_backtrace_, {}});
+  return RunResult{false, 0, TrapError(), trap_backtrace_};
 }
 
 }  // namespace knit

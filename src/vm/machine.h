@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -192,10 +193,8 @@ struct RunResult {
   // Call stack at the trap, innermost frame first, each entry "function (pc N)".
   // Empty on success.
   std::vector<std::string> backtrace;
-  // Snapshot of the machine's accumulated component attribution (counters and
-  // edges only — events stay on the Machine; see Machine::Profile). Empty unless
-  // profiling was enabled.
-  ComponentProfile profile;
+  // Component attribution is not part of a result: it accumulates on the
+  // Machine across calls, and Machine::Profile() snapshots it on request.
 };
 
 class Machine {
@@ -224,6 +223,9 @@ class Machine {
   // function-id -> component table from the image and zeroes the attribution;
   // `max_events` caps the entry/exit event log (counters are exact regardless —
   // when the cap is hit, events stop and Profile().events_truncated is set).
+  // `max_events` 0 means counters only: no event is logged and
+  // events_truncated stays false. A profiled host Call allocates nothing once
+  // the machine has run its call sites once (the event log aside).
   // Natives must not re-enter the Machine while profiling (none of the built-ins
   // do): a nested Call would double-attribute the nested cycles.
   void EnableProfiling(size_t max_events = 1 << 20);
@@ -255,6 +257,14 @@ class Machine {
   uint8_t ReadByte(uint32_t address);
   void WriteByte(uint32_t address, uint8_t value);
   std::string ReadCString(uint32_t address, uint32_t max_length = 4096);
+  // Bulk forms. WriteBytes stores `bytes` at `address` exactly as a WriteByte
+  // per byte would, trap included, in one copy when the whole range is valid.
+  // ByteView returns the `size` bytes at `address` when the whole range is
+  // valid and an empty span otherwise, without trapping; a caller that must
+  // trap on a bad range falls back to ReadByte. The view is invalidated by the
+  // next write to that memory.
+  void WriteBytes(uint32_t address, std::span<const uint8_t> bytes);
+  std::span<const uint8_t> ByteView(uint32_t address, uint32_t size) const;
 
   // Console output captured from __putchar (and from environment natives that
   // choose to print via AppendConsole).
@@ -308,10 +318,10 @@ class Machine {
   void RecoverNestedTrap(size_t eval_depth);
 
   // Re-syncs machine state after the reconfig engine grew image().functions /
-  // bindings in place: extends the profiling attribution table for the new
+  // bindings in place: extends the profiling attribution tables for the new
   // function ids (interning new component names) WITHOUT zeroing accumulated
   // attribution, and drops BTB entries so stale indirect-call predictions can't
-  // reference retired targets. No-op for the non-profiling, empty-BTB case.
+  // reference retired targets.
   void RefreshAfterImageGrowth();
 
   const Image& image() const { return image_; }
@@ -333,6 +343,7 @@ class Machine {
   std::string TrapError() const;
   FaultAction CheckFault(const std::string& function, uint32_t* value_out);
   bool CheckRange(uint32_t address, uint32_t size);
+  bool InRange(uint32_t address, size_t size) const;
   void ICacheAccess(uint32_t text_address);
   // Pushes a frame for `function_id` whose arguments are the evaluation-stack
   // words from `args_base` to the top; pops them whether or not it succeeds.
@@ -354,7 +365,10 @@ class Machine {
   // allocator unit running the note); the allocator's own component when no
   // caller crosses a boundary; -1 with no frames (host-driven notes).
   int RequesterComponent() const;
-  RunResult FinishRun(RunResult result);  // attach the profile snapshot if enabled
+  // The BTB slot of the call instruction at (function, pc), created empty
+  // (kBtbEmpty) on first use. Invalidated by a native call (a native may grow
+  // the image) and by RefreshAfterImageGrowth.
+  int& BtbSlot(int function, int pc);
 
   struct FreeDeleter {
     void operator()(uint8_t* bytes) const { std::free(bytes); }
@@ -410,8 +424,9 @@ class Machine {
   std::vector<long long> profile_freed_;      // bytes released, per component
   std::vector<long long> profile_live_;       // current live bytes, per component
   std::vector<long long> profile_live_peak_;  // max of profile_live_ per component
-  std::map<std::pair<int, int>, long long> profile_edges_;  // (caller, callee) -> calls
-  std::vector<long long> profile_fn_calls_;                 // function id -> entries
+  // Calls from component `caller` to `callee`, at [caller * components + callee].
+  std::vector<long long> profile_edges_;
+  std::vector<long long> profile_fn_calls_;  // function id -> entries
   std::vector<ProfileEvent> profile_events_;
   bool profile_events_truncated_ = false;
 
@@ -432,8 +447,11 @@ class Machine {
   // (see ICacheAccess), so it skips the set walk; -1 before the first fetch.
   int64_t icache_last_line_ = -1;
 
-  // Branch target buffer for indirect calls: (function id, pc) -> last target.
-  std::map<std::pair<int, int>, int> btb_;
+  // Branch target buffer for indirect and bound calls: the last target of the
+  // call at [function id][pc], or kBtbEmpty before its first call. A function's
+  // row is sized to its code on its first BTB lookup.
+  static constexpr int kBtbEmpty = std::numeric_limits<int>::min();
+  std::vector<std::vector<int>> btb_;
 };
 
 }  // namespace knit

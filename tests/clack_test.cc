@@ -8,6 +8,7 @@
 #include "src/clack/trace.h"
 #include "src/oskit/alloc_corpus.h"
 #include "src/support/mangle.h"
+#include "tests/testutil.h"
 
 namespace knit {
 namespace {
@@ -203,6 +204,40 @@ Result<RouterProgram> BuildAllocRouter(const std::string& alloc_unit, Diagnostic
   KnitPipeline pipeline(options);
   return RouterProgram::FromKnit(pipeline, knit_text, ClackSources(), "ClackAllocRouter",
                                  diags);
+}
+
+// The session's transmit native digests a frame through one view of guest
+// memory, and falls back to byte reads when the range is not fully valid: a
+// transmit from the guard page or running past the end of memory traps with
+// the byte loop's text, naming the first bad address.
+TEST(ClackSession, TransmitFromABadPointerTrapsAtTheFirstBadByte) {
+  const uint32_t end = 1u << 24;  // the default memory size
+  TestProgram program = BuildProgram(
+      "extern void dev_tx(char *data, int len, int port);\n"
+      "struct pkt { char *data; int len; int port; unsigned nexthop; };\n"
+      "void in0(struct pkt *p) { dev_tx((char *)16, p->len, 0); }\n"
+      "void in1(struct pkt *p) { dev_tx((char *)" + std::to_string(end - 4) +
+          ", p->len, 1); }\n",
+      false, {"dev_tx"});
+  ASSERT_TRUE(program.ok()) << program.error;
+  Diagnostics diags;
+  Result<std::unique_ptr<RouterSession>> session =
+      RouterSession::Open(*program.machine, {{"in0", "in0"}, {"in1", "in1"}}, "dev_tx", diags);
+  ASSERT_TRUE(session.ok()) << diags.ToString();
+
+  TracePacket packet;
+  packet.frame.assign(64, 0xAB);
+  const std::pair<int, std::string> cases[] = {
+      {0, "null/guard-page dereference at address 16"},
+      {1, "out-of-range memory access at address " + std::to_string(end)},
+  };
+  for (const auto& [port, trap] : cases) {
+    packet.in_port = port;
+    Diagnostics fed;
+    EXPECT_FALSE(session.value()->Feed(packet, 0, fed).ok());
+    std::string error = fed.FirstError();
+    EXPECT_EQ(error.substr(0, error.find('\n')), "router trapped on packet 0: " + trap);
+  }
 }
 
 TEST(ClackAlloc, EveryAllocatorForwardsByteIdenticallyToThePlainRouter) {

@@ -10,6 +10,7 @@
 #include "src/support/trace_event.h"
 #include "src/vm/machine.h"
 #include "src/vm/profile_trace.h"
+#include "tests/alloc_counter.h"
 
 namespace knit {
 namespace {
@@ -63,9 +64,9 @@ SourceMap Sources() {
   return sources;
 }
 
-KnitBuildResult Build(const char* top) {
+KnitBuildResult Build(const char* top, const KnitcOptions& options = KnitcOptions()) {
   Diagnostics diags;
-  Result<KnitBuildResult> built = KnitBuild(kKnit, Sources(), top, KnitcOptions(), diags);
+  Result<KnitBuildResult> built = KnitBuild(kKnit, Sources(), top, options, diags);
   EXPECT_TRUE(built.ok()) << diags.ToString();
   return built.take();
 }
@@ -105,7 +106,7 @@ TEST(ProfileTest, ProfilingOffBitIdenticalToPreProfilerGoldens) {
     EXPECT_EQ(machine.cycles(), golden.cycles) << golden.top;
     EXPECT_EQ(machine.ifetch_stalls(), golden.stalls) << golden.top;
     EXPECT_EQ(machine.insns(), golden.insns) << golden.top;
-    EXPECT_TRUE(run.profile.components.empty());  // profiling never enabled
+    EXPECT_TRUE(machine.Profile(false).components.empty());  // profiling never enabled
   }
 }
 
@@ -146,10 +147,44 @@ TEST(ProfileTest, AttributionSumsEqualCountersExactly) {
   EXPECT_EQ(cycles, machine.cycles());
   EXPECT_EQ(stalls, machine.ifetch_stalls());
   EXPECT_EQ(insns, machine.insns());
-  // RunResult carries the same snapshot (without the event log).
-  RunResult again = machine.Call(result.ExportedSymbol("out", "f"), {7});
-  EXPECT_EQ(again.profile.total_cycles, machine.cycles());
-  EXPECT_TRUE(again.profile.events.empty());
+  // Attribution keeps accumulating across calls; Profile(false) leaves the
+  // event log out.
+  ASSERT_TRUE(machine.Call(result.ExportedSymbol("out", "f"), {7}).ok);
+  ComponentProfile again = machine.Profile(false);
+  EXPECT_EQ(again.total_cycles, machine.cycles());
+  EXPECT_TRUE(again.events.empty());
+}
+
+// Counters-only profiling allocates nothing per host Call once the call sites
+// have run once, through direct calls and through bound calls (--swappable=*)
+// alike.
+TEST(ProfileTest, ProfiledHostCallAllocatesNothing) {
+  for (bool swappable : {false, true}) {
+    SCOPED_TRACE(swappable ? "swappable" : "plain");
+    KnitcOptions options;
+    if (swappable) {
+      options.swappable = {"*"};
+    }
+    KnitBuildResult result = Build("Pair", options);
+    Machine machine(result.image);
+    machine.EnableProfiling(0);
+    ASSERT_TRUE(machine.Call(result.init_function).ok);
+    const std::string name = result.ExportedSymbol("out", "f");
+    const std::vector<uint32_t> args = {7};
+    ASSERT_TRUE(machine.Call(name, args).ok);  // warm-up
+    machine.ResetProfile();
+    int ok_calls = 0;
+    uint64_t before = AllocationCount();
+    for (int i = 0; i < 100; ++i) {
+      ok_calls += machine.Call(name, args).ok ? 1 : 0;
+    }
+    uint64_t allocations = AllocationCount() - before;
+    EXPECT_EQ(ok_calls, 100);
+    EXPECT_EQ(allocations, 0u);
+    ComponentProfile profile = machine.Profile(false);
+    EXPECT_EQ(profile.boundary_calls, 700);
+    EXPECT_FALSE(profile.events_truncated);
+  }
 }
 
 TEST(ProfileTest, BoundaryCallsMatchHandCount) {

@@ -2,6 +2,7 @@
 // traps, determinism, and the memory interface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "tests/testutil.h"
@@ -167,6 +168,62 @@ TEST(Machine, HostMemoryInterface) {
   EXPECT_EQ(machine.ReadByte(address), 0xEF);
 }
 
+// WriteBytes stores like one WriteByte per byte: a range that runs off the end
+// of memory keeps its valid prefix and traps at the first bad address, and a
+// guard-page range traps at its start. ByteView sees only fully valid ranges.
+TEST(Machine, BulkMemoryAccessMatchesByteAccess) {
+  TestProgram program = BuildProgram(
+      "extern int fill(char *p);\n"
+      "int f(int p) { return fill((char *)p); }\n",
+      false, {"fill"});
+  ASSERT_TRUE(program.ok()) << program.error;
+  Machine& machine = *program.machine;
+  const uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  machine.BindNative("fill", [&bytes](Machine& m, std::span<const uint32_t> args) {
+    m.WriteBytes(args[0], bytes);
+    return 0u;
+  });
+
+  uint32_t address = machine.Sbrk(64);
+  ASSERT_TRUE(machine.Call("f", {address}).ok);
+  std::span<const uint8_t> view = machine.ByteView(address, 8);
+  ASSERT_EQ(view.size(), 8u);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), bytes));
+  EXPECT_EQ(machine.ReadByte(address + 7), 8);
+
+  const uint32_t end = 1u << 24;  // the default memory size
+  RunResult past_end = machine.Call("f", {end - 4});
+  ASSERT_FALSE(past_end.ok);
+  EXPECT_EQ(past_end.error.substr(0, past_end.error.find('\n')),
+            "out-of-range memory access at address " + std::to_string(end));
+  EXPECT_TRUE(machine.ByteView(end - 4, 8).empty());
+  view = machine.ByteView(end - 4, 4);
+  ASSERT_EQ(view.size(), 4u);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), bytes));
+
+  RunResult guard = machine.Call("f", {16});
+  ASSERT_FALSE(guard.ok);
+  EXPECT_EQ(guard.error.substr(0, guard.error.find('\n')),
+            "null/guard-page dereference at address 16");
+  EXPECT_TRUE(machine.ByteView(16, 1).empty());
+}
+
+// A trapped host Call leaves nothing on the evaluation stack, however often
+// the host retries.
+TEST(Machine, TrappedHostCallLeavesNoEvaluationStack) {
+  TestProgram program = BuildProgram(
+      "int g(int x) { return x / 0; }\n"
+      "int f(int x) { return x + g(x + 1); }\n",
+      false);
+  ASSERT_TRUE(program.ok()) << program.error;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    RunResult result = program.machine->Call("f", {5});
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("division by zero"), std::string::npos) << result.error;
+    EXPECT_EQ(program.machine->EvalDepth(), 0u) << "attempt " << attempt;
+  }
+}
+
 TEST(Machine, TrapMessageNamesFunctionAndPc) {
   TestProgram program = BuildProgram(
       "int inner(int *p) { return *p; }\n"
@@ -297,6 +354,41 @@ void StampComponent(TestProgram& program, const std::string& function,
   int id = program.image->FindFunction(function);
   ASSERT_GE(id, 0) << function;
   program.image->functions[id].component = component;
+}
+
+// Growing the image with a function of a new component, as a hot swap does,
+// re-lays the profile's dense edge table: edges counted before the growth keep
+// their counts, and calls from the new component are counted beside them.
+TEST(Machine, ProfileEdgesSurviveImageGrowthWithANewComponent) {
+  TestProgram program = BuildProgram(
+      "int leaf(int x) { return x + 1; }\n"
+      "int f(int x) { return leaf(x) + leaf(x); }\n",
+      false);
+  ASSERT_TRUE(program.ok()) << program.error;
+  StampComponent(program, "leaf", "B");
+  StampComponent(program, "f", "A");
+  Machine& machine = *program.machine;
+  machine.EnableProfiling();
+  ASSERT_TRUE(machine.Call("f", {1}).ok);
+
+  Image& image = *program.image;
+  BytecodeFunction copy = image.functions[image.FindFunction("f")];
+  copy.name = "f_v2";
+  copy.component = "C";
+  image.function_symbols["f_v2"] = static_cast<int>(image.functions.size());
+  image.functions.push_back(copy);
+  machine.RefreshAfterImageGrowth();
+  ASSERT_TRUE(machine.Call("f_v2", {1}).ok);
+
+  ComponentProfile profile = machine.Profile(false);
+  ASSERT_EQ(profile.edges.size(), 2u);
+  EXPECT_EQ(profile.edges[0].caller, "A");
+  EXPECT_EQ(profile.edges[0].callee, "B");
+  EXPECT_EQ(profile.edges[0].calls, 2);
+  EXPECT_EQ(profile.edges[1].caller, "C");
+  EXPECT_EQ(profile.edges[1].callee, "B");
+  EXPECT_EQ(profile.edges[1].calls, 2);
+  EXPECT_EQ(profile.boundary_calls, 4);
 }
 
 struct QuiescenceProbe {
